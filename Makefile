@@ -79,9 +79,9 @@ fsck-smoke:
 	@rm -f fsck-smoke.json
 	@echo "fsck-smoke: crash churn scrubbed to zero violations"
 
-# Gray-failure gate: one small ext-gray cell (heartbeat detection,
-# lease-fenced failover) plus the cross-layer fsck audit. The generator
-# itself enforces zero double-starts and zero lease violations per
+# Gray-failure gate: a small ext-gray sweep (heartbeat detection,
+# fenced failover) plus the cross-layer fsck audit. The generator
+# itself enforces zero double-starts and zero fsck violations per
 # cell — a split-brain or a dirty post-drain state fails the command —
 # and -fsck re-audits every environment the run built.
 gray-smoke:
@@ -138,7 +138,7 @@ bench-smoke:
 # Regression gate: replay every figure at smoke scale with the same
 # seed as the checked-in baseline and diff the two reports with
 # cmd/benchdiff. Sequential (-parallel 1) so allocation counts are
-# exact rather than sampled; the wall threshold is generous because CI
+# recorded (parallel runs omit them); the wall threshold is generous because CI
 # runners jitter, while allocation counts are deterministic and gated
 # tightly.
 # -shards 2 pins the sharded-cluster figures to one engine worker

@@ -42,9 +42,10 @@ import (
 
 // benchFigure is one figure's timing record in the -json report.
 type benchFigure struct {
-	ID         string                     `json:"id"`
-	WallMS     float64                    `json:"wall_ms"`
-	Allocs     uint64                     `json:"allocs"`
+	ID     string  `json:"id"`
+	WallMS float64 `json:"wall_ms"`
+	// Allocs is omitted on parallel runs, which do not count them.
+	Allocs     uint64                     `json:"allocs,omitempty"`
 	VirtualMS  float64                    `json:"virtual_ms"`
 	Profile    *lightvm.ExperimentProfile `json:"profile,omitempty"`
 	CrashSites []lightvm.CrashSiteStat    `json:"crash_sites,omitempty"`

@@ -1,67 +1,46 @@
-// Edge-cluster operations (§7.1 at fleet scale): several cell-site
-// machines share one timeline; subscriber firewalls are placed on the
-// least-loaded cell, follow subscribers between cells via live
-// migration, and the fleet rebalances itself after churn.
+// Edge-cluster operations (§7.1 at fleet scale): three cell-site
+// machines run subscriber firewalls under one controller. Subscribers
+// attach in waves, follow their users between cells via live
+// migration, and leave; mid-run one cell site dies, and the controller
+// detects it from heartbeat silence and re-places its firewalls on the
+// surviving cells.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"lightvm"
 )
 
 func main() {
-	clock := lightvm.NewClock()
-	fleet := lightvm.NewCluster(clock)
-	for _, cell := range []string{"cell-north", "cell-south", "cell-west"} {
-		if _, err := fleet.AddHost(cell, lightvm.Xeon14, 1); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// 30 subscribers attach; the cluster spreads their firewalls.
-	img := lightvm.ClickOSFirewall()
-	for i := 0; i < 30; i++ {
-		name := fmt.Sprintf("fw-sub%02d", i)
-		if _, _, err := fleet.Place(lightvm.ModeChaosNoXS, name, img); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("after attach:")
-	printStats(fleet)
-
-	// Rush hour: the subscribers currently on the north cell drive
-	// south.
-	var totalMS float64
-	moved := 0
-	for i := 0; i < 10; i++ {
-		name := fmt.Sprintf("fw-sub%02d", i)
-		if host, _ := fleet.HostOf(name); host != "cell-north" {
-			continue
-		}
-		d, err := fleet.Move(name, "cell-south")
-		if err != nil {
-			log.Fatal(err)
-		}
-		totalMS += d.Seconds() * 1000
-		moved++
-	}
-	fmt.Printf("\n%d handover migrations done (avg %.1f ms each); after the rush:\n", moved, totalMS/float64(moved))
-	printStats(fleet)
-
-	// The fleet rebalances itself.
-	moves, err := fleet.Rebalance(20)
+	fleet, err := lightvm.NewCluster(
+		lightvm.ClusterConfig{Machine: lightvm.Xeon14, Seed: 1},
+		[]lightvm.HostPool{{
+			Name: "cells", Mode: lightvm.ModeChaosNoXS, Hosts: 3,
+			VMs: 30, Image: lightvm.ClickOSFirewall(),
+		}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrebalanced with %d migrations:\n", moves)
-	printStats(fleet)
-}
-
-func printStats(fleet *lightvm.Cluster) {
-	for _, st := range fleet.Stats() {
-		fmt.Printf("  %-12s %2d VMs  %8.1f MB  %5.2f%% CPU\n",
-			st.Name, st.VMs, st.MemoryMB, st.CPU*100)
+	rep, err := fleet.RunChurn(lightvm.ChurnSpec{
+		Waves:          3,
+		WavePeriod:     2 * time.Second,
+		MigratePerWave: 4, // handovers: subscribers driving between cells
+		DepartPerWave:  2, // subscribers leaving the network
+		FailAt:         []time.Duration{2500 * time.Millisecond},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+
+	p := rep.Pools[0]
+	fmt.Printf("%d subscriber firewalls running on %d cell sites (%d created, create p50 %.1f ms)\n",
+		p.Placed, p.Hosts, p.Created, p.CreateMS.Percentile(50))
+	fmt.Printf("%d handover migrations (p50 %.1f ms)\n", p.Migrations, p.MigrateMS.Percentile(50))
+	fmt.Printf("%d cell site died: %d firewalls failed over (unavailable p50 %.0f ms)\n",
+		rep.HostsFailed, rep.Failovers, rep.FailoverMS.Percentile(50))
+	fmt.Printf("virtual makespan %.1f s; %d double-starts, %d fsck violations\n",
+		rep.MakespanMS/1000, rep.DoubleStarts, rep.FsckViolated)
 }

@@ -368,10 +368,9 @@ const (
 	// it elapses, Take falls back to the cold inline-prepare path.
 	PoolDaemonRestart = 250 * time.Millisecond
 
-	// HostFailureDetect is the cluster's heartbeat timeout: how long
-	// until surviving hosts declare a silent member dead and start
-	// failover (§7.1's placement re-instantiates its VMs).
-	HostFailureDetect = 1500 * time.Millisecond
+	// HostReboot is a cluster member's power cycle after a fence (or
+	// a self-fence): it comes back empty under a new incarnation.
+	HostReboot = 500 * time.Millisecond
 
 	// ClusterLookahead is the one-way control-network latency between
 	// datacenter cluster members — scheduler→host commands, host→
@@ -384,34 +383,30 @@ const (
 )
 
 // ---------------------------------------------------------------------------
-// Gray-failure plane (cluster health monitor). Defaults for the
+// Gray-failure plane (cluster heartbeats). Defaults for the
 // heartbeat protocol and the deterministic shapes of the three gray
 // fault kinds; ext-gray sweeps the detection timeout around these.
 // ---------------------------------------------------------------------------
 
 const (
 	// HeartbeatPeriod is the interval at which every member reports to
-	// the cluster's health monitor (a 100 ms gossip/ping cadence, the
+	// the cluster controller (a 100 ms gossip/ping cadence, the
 	// order real fleet agents use).
 	HeartbeatPeriod = 100 * time.Millisecond
 
-	// HeartbeatSuspect is the default silence after which a member is
-	// suspected and excluded from new placements (but keeps its VMs).
-	HeartbeatSuspect = 300 * time.Millisecond
-
-	// HeartbeatDead is the default silence after which a suspect is
+	// HeartbeatDead is the default silence after which a member is
 	// declared dead and its VMs failed over. ext-gray sweeps this — it
 	// is the availability-vs-false-positive knob.
 	HeartbeatDead = 1200 * time.Millisecond
 
-	// GrayFlapMin/GrayFlapExtra bound a host-flap outage: the victim is
-	// silent for GrayFlapMin plus a seeded jitter in [0, GrayFlapExtra),
-	// then returns as if nothing happened.
+	// GrayFlapMin/GrayFlapExtra bound a crashed host's outage (host-flap
+	// and host-failure): the victim is down for GrayFlapMin plus a
+	// seeded jitter in [0, GrayFlapExtra), then reboots empty.
 	GrayFlapMin   = 500 * time.Millisecond
 	GrayFlapExtra = 2500 * time.Millisecond
 
-	// GrayPartitionMin/GrayPartitionExtra bound how long one edge of
-	// the reachability matrix stays cut.
+	// GrayPartitionMin/GrayPartitionExtra bound how long a partitioned
+	// host's edge to the controller or to another host stays cut.
 	GrayPartitionMin   = 800 * time.Millisecond
 	GrayPartitionExtra = 3 * time.Second
 

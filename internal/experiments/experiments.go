@@ -47,12 +47,6 @@ type Options struct {
 	// see profile.go). Zero value = no profiling.
 	Profile ProfileOptions
 
-	// sampler attributes a parallel run's allocations to figures.
-	// RunMany sets it (with samplerJob) on the per-figure Options it
-	// passes down, and nested runSeries pools meter their workers
-	// against it. Never set by callers.
-	sampler    *allocSampler
-	samplerJob int
 	// profGate serializes profiled figures on parallel runs (CPU
 	// profiling is process-global). RunMany creates it; never set by
 	// callers.
@@ -79,6 +73,15 @@ func (o Options) workers() int {
 		return o.Parallel
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// clusterWorkers is the engine worker count for figures that run one
+// sharded cluster per cell: Shards when pinned, else 1.
+func (o Options) clusterWorkers() int {
+	if o.Shards > 0 {
+		return o.Shards
+	}
+	return 1
 }
 
 // scaled returns max(lo, round(n×Scale)).
@@ -137,10 +140,9 @@ type Result struct {
 	VirtualMS float64
 	// Wall is the real time the generator took (set by RunMany/RunAll).
 	Wall time.Duration
-	// Allocs is the number of heap allocations the generator performed:
-	// exact on sequential runs (Parallel == 1), a sampling-based
-	// estimate on parallel runs (Go exposes no per-goroutine allocation
-	// counter — see allocSampler in runner.go).
+	// Allocs is the number of heap allocations the generator performed,
+	// recorded on sequential runs (Parallel == 1) only: Go exposes no
+	// per-goroutine allocation counter, so parallel runs leave it 0.
 	Allocs uint64
 	// Profile is the per-figure pprof attribution report (nil unless
 	// the run had Options.Profile enabled for this figure).

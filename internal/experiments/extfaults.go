@@ -9,7 +9,6 @@ import (
 	"lightvm/internal/guest"
 	"lightvm/internal/metrics"
 	"lightvm/internal/sched"
-	"lightvm/internal/sim"
 	"lightvm/internal/toolstack"
 )
 
@@ -21,15 +20,19 @@ func init() {
 // regression anchor (it must reproduce the undisturbed control plane).
 var faultRates = []float64{0, 0.04, 0.08, 0.12, 0.16, 0.20}
 
+// faultKinds are the fault classes ext-faults injects: the toolstack
+// kinds plus whole-host failures (the gray kinds belong to ext-gray).
+var faultKinds = []faults.Kind{
+	faults.KindTxnConflict, faults.KindStoreStall, faults.KindHandshakeStall,
+	faults.KindMigrationDrop, faults.KindDaemonCrash, faults.KindHostFailure,
+}
+
 // faultCell is one (mode, rate) measurement.
 type faultCell struct {
 	createP50, createP99 float64
 	migP50, migP99       float64
 	avail                float64
-	injected             uint64
-	recoveries           int
-	recoveryMS           float64
-	virtMS               float64
+	rep                  *cluster.ChurnReport
 }
 
 // extFaults — deterministic fault injection against both control
@@ -37,10 +40,11 @@ type faultCell struct {
 // bad day). A two-host cluster churns through creations and handover
 // migrations while the fault plane injects XenStore transaction
 // conflicts, store stalls, lost xenbus handshake events, migration
-// stream drops, pool-daemon crashes and whole-host failures at a swept
+// stream drops, pool-daemon crashes and whole-host crashes at a swept
 // rate. Every fault exercises a recovery path — txn backoff/retry,
 // device re-attach, stream resume (noxs) or rollback (xl), cold-path
-// fallback, cluster failover — and the table reports what that
+// fallback, heartbeat-detected failover onto the surviving host while
+// the crashed one reboots empty — and the table reports what that
 // recovery costs: creation and migration p50/p99 plus VM availability.
 func extFaults(o Options) (Result, error) {
 	modes := []struct {
@@ -57,7 +61,7 @@ func extFaults(o Options) (Result, error) {
 		mi, ri := j/len(faultRates), j%len(faultRates)
 		// Seeds are derived per cell so every (mode, rate) owns an
 		// independent but reproducible timeline.
-		cell, err := runFaultChurn(modes[mi].mode, faultRates[ri], o.Seed+uint64(j)*7919, n)
+		cell, err := runFaultChurn(modes[mi].mode, faultRates[ri], o.Seed+uint64(j)*7919, n, o.clusterWorkers())
 		if err != nil {
 			return fmt.Errorf("ext-faults %s rate %.2f: %w", modes[mi].name, faultRates[ri], err)
 		}
@@ -79,27 +83,24 @@ func extFaults(o Options) (Result, error) {
 		t.AddRow(rate,
 			xl.createP50, xl.createP99, xl.migP50, xl.migP99, xl.avail,
 			ch.createP50, ch.createP99, ch.migP50, ch.migP99, ch.avail)
-		virtMS = append(virtMS, xl.virtMS, ch.virtMS)
+		virtMS = append(virtMS, xl.rep.MakespanMS, ch.rep.MakespanMS)
 	}
 	for mi, m := range modes {
 		var injected uint64
-		recoveries := 0
-		recoveryMS := 0.0
+		var detected, failovers int
+		var unavail metrics.Series
 		for ri := range faultRates {
-			c := cells[mi*len(faultRates)+ri]
-			injected += c.injected
-			recoveries += c.recoveries
-			recoveryMS += c.recoveryMS
+			r := cells[mi*len(faultRates)+ri].rep
+			injected += r.FaultsInjected
+			detected += r.Detected
+			failovers += r.Failovers
+			unavail.Values = append(unavail.Values, r.FailoverMS.Values...)
 		}
-		mean := 0.0
-		if recoveries > 0 {
-			mean = recoveryMS / float64(recoveries)
-		}
-		t.Note("%s: %d faults injected across the sweep, %d host failovers (mean recovery %.1f ms)",
-			m.name, injected, recoveries, mean)
+		t.Note("%s: %d faults injected across the sweep, %d host crashes detected, %d VMs failed over (mean unavailability %.1f ms)",
+			m.name, injected, detected, failovers, unavail.Mean())
 	}
-	t.Note("faults: store txn conflicts + stalls, lost xenbus handshakes, migration stream drops, pool-daemon crashes, host failures")
-	t.Note("recovery: txn backoff/retry, device re-attach, stream resume (chaos) or rollback (xl), cold-path fallback, §7.1 failover")
+	t.Note("faults: store txn conflicts + stalls, lost xenbus handshakes, migration stream drops, pool-daemon crashes, host crashes")
+	t.Note("recovery: txn backoff/retry, device re-attach, stream resume (chaos) or rollback (xl), cold-path fallback, §7.1 failover + empty reboot")
 	return Result{
 		ID:        "ext-faults",
 		Paper:     "robustness extension: control-plane recovery under injected faults (no paper figure)",
@@ -108,138 +109,50 @@ func extFaults(o Options) (Result, error) {
 	}, nil
 }
 
-// runFaultChurn drives one (mode, rate) cell: a two-host cluster under
-// a create/migrate churn, with host failures and replacements along
-// the way. Availability counts every fault-caused outage against the
-// total operations attempted: failed creations, aborted migrations,
-// and VMs lost to a dead host (recovered or not, they were down).
-func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (faultCell, error) {
-	clock := sim.NewClock()
-	cl := cluster.New(clock)
-	machine := sched.Machine{Name: "fault-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32}
-
-	var inj *faults.Injector
+// runFaultChurn drives one (mode, rate) cell: a two-host cluster
+// under arrival waves with handover migrations. Availability counts
+// every fault-caused outage against the total operations attempted:
+// failed creations, failed handovers, and VMs lost to a crashed host
+// (recovered or not, they were down).
+func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n, workers int) (faultCell, error) {
+	cfg := cluster.ShardedConfig{
+		Machine: sched.Machine{Name: "fault-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32},
+		Workers: workers,
+		Seed:    seed,
+	}
 	if rate > 0 {
-		inj = faults.New(clock, seed, faults.Plan{Rate: rate})
+		cfg.Faults = faults.Plan{Rate: rate, Kinds: faultKinds}
 	}
-	addHost := func(name string, hostSeed uint64) error {
-		h, err := cl.AddHost(name, machine, hostSeed)
-		if err != nil {
-			return err
-		}
-		h.Env.SetFaults(inj)
-		return nil
-	}
-	if err := addHost("h0", seed); err != nil {
+	sc, err := cluster.NewSharded(cfg, []cluster.HostPool{
+		{Name: mode.String(), Mode: mode, Hosts: 2, VMs: n, Image: guest.Daytime()},
+	})
+	if err != nil {
 		return faultCell{}, err
 	}
-	if err := addHost("h1", seed+1); err != nil {
+	// Every third subscriber moves to the other host (§7.1 churn).
+	const waves = 4
+	rep, err := sc.RunChurn(cluster.ChurnSpec{
+		Waves:          waves,
+		WavePeriod:     2 * time.Second,
+		MigratePerWave: (n + 3*waves - 1) / (3 * waves),
+		Drain:          60 * time.Second,
+	})
+	if err != nil {
 		return faultCell{}, err
 	}
-	live := func() []string {
-		out := make([]string, 0, 2)
-		for _, hn := range cl.Hosts() {
-			if !cl.Failed(hn) {
-				out = append(out, hn)
-			}
-		}
-		return out
+	if rep.Unplaced > 0 || rep.DoubleStarts > 0 || rep.FsckViolated > 0 {
+		return faultCell{}, fmt.Errorf("%d unplaced, %d double-starts, %d fsck violations (want 0/0/0)",
+			rep.Unplaced, rep.DoubleStarts, rep.FsckViolated)
 	}
-
-	img := guest.Daytime()
-	var creates, migs metrics.Series
-	totalOps, failedOps := 0, 0
-	recoveries := 0
-	var recoveryTotal time.Duration
-	nextHost := 2
-
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("vm%03d", i)
-		totalOps++
-		vm, _, err := cl.Place(mode, name, img)
-		placed := err == nil
-		if placed {
-			creates.AddDuration(vm.CreateTime + vm.BootTime)
-		} else {
-			// A typed failure (ErrTxnRetriesExhausted, ErrDeviceTimeout,
-			// resource exhaustion) — the VM never came up.
-			failedOps++
-		}
-		// The pool daemon's background beat (split modes only; a no-op
-		// for xl, and for a crashed daemon until it restarts).
-		for _, hn := range live() {
-			if h, herr := cl.Host(hn); herr == nil {
-				if rerr := h.Replenish(); rerr != nil {
-					return faultCell{}, rerr
-				}
-			}
-		}
-
-		// Handover migration: every third subscriber moves to the other
-		// host right after arriving (§7.1 churn).
-		if placed && i%3 == 2 {
-			srcName, herr := cl.HostOf(name)
-			if herr == nil {
-				dstName := ""
-				for _, hn := range live() {
-					if hn != srcName {
-						dstName = hn
-						break
-					}
-				}
-				if dstName != "" {
-					totalOps++
-					if d, merr := cl.Move(name, dstName); merr != nil {
-						failedOps++ // rolled back: source still runs, but the handover failed
-					} else {
-						migs.AddDuration(d)
-					}
-				}
-			}
-		}
-
-		// Whole-host failure: the oldest live host dies, survivors absorb
-		// its VMs via §7.1 placement, and a cold replacement joins.
-		if inj.Fire(faults.KindHostFailure) {
-			victims := live()
-			if len(victims) > 1 {
-				lost, ferr := cl.FailHost(victims[0])
-				if ferr != nil {
-					return faultCell{}, ferr
-				}
-				// Every lost VM was down regardless of recovery outcome.
-				totalOps += len(lost)
-				failedOps += len(lost)
-				// A cold spare joins before the failover sweep, so lost
-				// VMs land on fresh capacity (xl leaves migrated-away
-				// names registered in the source store, so a survivor
-				// that once hosted a VM would reject its name).
-				if err := addHost(fmt.Sprintf("h%d", nextHost), seed+uint64(nextHost)); err != nil {
-					return faultCell{}, err
-				}
-				nextHost++
-				d, _, foErr := cl.Failover(lost)
-				recoveries++
-				recoveryTotal += d
-				if foErr != nil {
-					return faultCell{}, foErr
-				}
-			}
-		}
-	}
-
-	cell := faultCell{
-		createP50:  creates.Percentile(50),
-		createP99:  creates.Percentile(99),
-		migP50:     migs.Percentile(50),
-		migP99:     migs.Percentile(99),
-		avail:      100 * (1 - float64(failedOps)/float64(totalOps)),
-		recoveries: recoveries,
-		recoveryMS: float64(recoveryTotal) / float64(time.Millisecond),
-		virtMS:     float64(clock.Now().Milliseconds()),
-	}
-	if inj != nil {
-		cell.injected = inj.TotalInjected()
-	}
-	return cell, nil
+	p := rep.Pools[0]
+	failed := p.CreateFailed + p.MigrateFailed + rep.Failovers
+	total := p.Created + p.Migrations + failed
+	return faultCell{
+		createP50: p.CreateMS.Percentile(50),
+		createP99: p.CreateMS.Percentile(99),
+		migP50:    p.MigrateMS.Percentile(50),
+		migP99:    p.MigrateMS.Percentile(99),
+		avail:     100 * (1 - float64(failed)/float64(total)),
+		rep:       rep,
+	}, nil
 }

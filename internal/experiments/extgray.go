@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -19,9 +18,9 @@ func init() {
 	register("ext-gray", extGray)
 }
 
-// grayDetects sweeps the dead-declaration timeout: how long the
-// monitor tolerates silence before fencing a member and re-placing its
-// VMs. Short timeouts recover fast but misfire on hosts that are
+// grayDetects sweeps the dead-declaration timeout
+// (ShardedConfig.DeadAfter): how long the controller tolerates silence
+// before fencing a member and re-placing its VMs. Short timeouts recover fast but misfire on hosts that are
 // merely slow; long ones never misfire but leave VMs down longer.
 var grayDetects = []time.Duration{
 	400 * time.Millisecond,
@@ -30,27 +29,21 @@ var grayDetects = []time.Duration{
 }
 
 // grayRates is the per-opportunity probability that a host turns gray
-// (slow, flapping, or partitioned) at each heartbeat pass. With ten
-// passes a second, rate r means ~10r episodes per host per kind per
+// (slow, flapping, or partitioned) at each of its heartbeats. With ten
+// beats a second, rate r means ~10r episodes per host per kind per
 // second, each lasting 0.4–3.8 s — these values keep faults episodic
-// rather than continuous. Rate 0 is the regression anchor: no monitor
-// work beyond heartbeats, and it must report zero failovers of any
-// kind.
+// rather than continuous. Rate 0 is the regression anchor: no work
+// beyond heartbeats, and it must report zero failovers of any kind.
 var grayRates = []float64{0, 0.003, 0.01}
 
 // grayCell is one (mode, detect, rate) measurement.
 type grayCell struct {
 	unavailP50, unavailP99 float64
-	falsePositives         int
-	doubleStarts           int
-	failovers              int
-	deferred               int
-	quarantined            int
-	staleRejected          uint64
-	saturated              int
-	fsckViolations         int
-	virtMS                 float64
+	rep                    *cluster.ChurnReport
 }
+
+// grayKinds are the gray fault classes ext-gray injects.
+var grayKinds = []faults.Kind{faults.KindHostSlow, faults.KindPartition, faults.KindHostFlap}
 
 // extGray — gray-failure resilience (robustness extension; no paper
 // figure). Hosts do not only fail cleanly: they get slow, they flap,
@@ -59,9 +52,9 @@ type grayCell struct {
 // sweeps the detection timeout against the gray-fault rate on a
 // four-host cluster under placement churn and reports what each policy
 // point costs: per-VM unavailability p50/p99, false-positive
-// failovers, and the double-start count — which the lease fence must
-// hold at zero everywhere. Every cell ends with a cluster-wide lease
-// fsck plus a per-host toolstack fsck, both of which must be clean.
+// failovers, and the double-start count — which fencing must hold at
+// zero everywhere. Every cell ends with a cluster-wide double-start
+// audit plus a per-host toolstack fsck, both of which must be clean.
 func extGray(o Options) (Result, error) {
 	modes := []struct {
 		name string
@@ -87,9 +80,9 @@ func extGray(o Options) (Result, error) {
 	err := o.runSeries(len(cells), func(j int) error {
 		mi, pi := j/len(points), j%len(points)
 		p := points[pi]
-		cell, err := runGrayChurn(modes[mi].mode, p.detect, p.rate, o.Seed+uint64(j)*7919, n)
+		cell, err := runGrayChurn(modes[mi].mode, p.detect, p.rate, o.Seed+uint64(j)*7919, n, o.clusterWorkers())
 		if err != nil {
-			return fmt.Errorf("ext-gray %s detect %v rate %.2f: %w",
+			return fmt.Errorf("ext-gray %s detect %v rate %.3f: %w",
 				modes[mi].name, p.detect, p.rate, err)
 		}
 		cells[j] = cell
@@ -108,170 +101,76 @@ func extGray(o Options) (Result, error) {
 		xl := cells[0*len(points)+pi]
 		ch := cells[1*len(points)+pi]
 		t.AddRow(float64(p.detect)/float64(time.Millisecond), p.rate,
-			xl.unavailP50, xl.unavailP99, float64(xl.falsePositives), float64(xl.doubleStarts),
-			ch.unavailP50, ch.unavailP99, float64(ch.falsePositives), float64(ch.doubleStarts))
-		virtMS = append(virtMS, xl.virtMS, ch.virtMS)
+			xl.unavailP50, xl.unavailP99, float64(xl.rep.FalsePositives), float64(xl.rep.DoubleStarts),
+			ch.unavailP50, ch.unavailP99, float64(ch.rep.FalsePositives), float64(ch.rep.DoubleStarts))
+		virtMS = append(virtMS, xl.rep.MakespanMS, ch.rep.MakespanMS)
 	}
 	for mi, m := range modes {
-		var agg grayCell
+		var agg cluster.ChurnReport
 		for pi := range points {
-			c := cells[mi*len(points)+pi]
-			agg.failovers += c.failovers
-			agg.deferred += c.deferred
-			agg.quarantined += c.quarantined
-			agg.staleRejected += c.staleRejected
-			agg.saturated += c.saturated
-			agg.doubleStarts += c.doubleStarts
-			agg.fsckViolations += c.fsckViolations
+			r := cells[mi*len(points)+pi].rep
+			agg.Detected += r.Detected
+			agg.Failovers += r.Failovers
+			agg.Fenced += r.Fenced
+			agg.Saturated += r.Saturated
 		}
-		t.Note("%s: %d failovers (%d deferred on saturation), %d quarantines, %d stale ops fenced, %d placements backpressured",
-			m.name, agg.failovers, agg.deferred, agg.quarantined, agg.staleRejected, agg.saturated)
-		if agg.doubleStarts > 0 || agg.fsckViolations > 0 {
-			return Result{}, fmt.Errorf("ext-gray %s: %d double-starts, %d fsck violations (want 0/0)",
-				m.name, agg.doubleStarts, agg.fsckViolations)
-		}
+		t.Note("%s: %d host deaths detected, %d VMs failed over, %d stale acks fenced, %d placements backpressured",
+			m.name, agg.Detected, agg.Failovers, agg.Fenced, agg.Saturated)
 	}
-	t.Note("gray faults: slow hosts (cost dilation), flaps (silent outage + return), pairwise partitions")
-	t.Note("safety: zero double-starts and zero lease/toolstack fsck violations in every cell (enforced)")
+	t.Note("gray faults: slow hosts (cost dilation, late beats), flaps (crash + empty reboot), partitions (cut edges)")
+	t.Note("safety: zero double-starts and zero toolstack fsck violations in every cell (enforced)")
 	return Result{
 		ID:        "ext-gray",
-		Paper:     "robustness extension: gray-failure detection, lease-fenced failover (no paper figure)",
+		Paper:     "robustness extension: gray-failure detection, fenced failover (no paper figure)",
 		Table:     t,
 		VirtualMS: maxOf(virtMS),
 	}, nil
 }
 
 // runGrayChurn drives one (mode, detect, rate) cell: a four-host
-// cluster placing and migrating VMs while the gray plane degrades
-// hosts underneath the monitor. The churn uses only cluster-level
-// operations (Place/Move/Destroy/Idle) — once health is enabled the
-// clock may only advance under the cluster lock.
-func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed uint64, n int) (grayCell, error) {
-	clock := sim.NewClock()
-	cl := cluster.New(clock)
-	machine := sched.Machine{Name: "gray-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32}
-	const hosts = 4
-	for i := 0; i < hosts; i++ {
-		if _, err := cl.AddHost(fmt.Sprintf("cell-%d", i), machine, seed+uint64(i)); err != nil {
-			return grayCell{}, err
-		}
+// cluster placing, migrating and retiring VMs while the gray plane
+// degrades hosts underneath the controller. Injection stops with the
+// last wave so every host returns, fenced hosts reboot empty, and the
+// run drains to a steady state the safety audit can judge.
+func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed uint64, n, workers int) (grayCell, error) {
+	spec := cluster.ChurnSpec{
+		Waves:          8,
+		WavePeriod:     time.Second,
+		MigratePerWave: 1,
+		DepartPerWave:  1,
+		Drain:          costs.GrayPartitionMin + costs.GrayPartitionExtra + costs.GrayFlapMin + costs.GrayFlapExtra + detect,
 	}
-	var inj *faults.Injector
+	cfg := cluster.ShardedConfig{
+		Machine:   sched.Machine{Name: "gray-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32},
+		Workers:   workers,
+		Seed:      seed,
+		DeadAfter: detect,
+	}
 	if rate > 0 {
-		inj = faults.New(clock, seed, faults.Plan{
-			Rate:  rate,
-			Kinds: []faults.Kind{faults.KindHostSlow, faults.KindPartition, faults.KindHostFlap},
-		})
+		end := costs.HeartbeatPeriod/2 + time.Duration(spec.Waves)*spec.WavePeriod
+		cfg.Faults = faults.Plan{Rate: rate, Kinds: grayKinds, Window: faults.Window{To: sim.Time(0).Add(end)}}
 	}
-	cl.EnableHealth(cluster.HealthConfig{
-		Period:       costs.HeartbeatPeriod,
-		SuspectAfter: detect / 2,
-		DeadAfter:    detect,
-		FlapLimit:    -1, // policy sweep: quarantine measured separately, never triggered here
-	}, inj)
-
-	img := guest.Daytime()
-	cell := grayCell{}
-	live := 0
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("vm%03d", i)
-		_, _, err := cl.Place(mode, name, img)
-		switch {
-		case err == nil:
-			live++
-		case isGrayBackpressure(err):
-			// Degraded cluster refused the placement — the typed
-			// backpressure the policy is supposed to produce. Park the
-			// request and retry after the next heartbeat interval.
-			cell.saturated++
-			cl.Idle(costs.HeartbeatPeriod * 3)
-			if _, _, rerr := cl.Place(mode, name, img); rerr == nil {
-				live++
-			} else if !isGrayBackpressure(rerr) {
-				return grayCell{}, rerr
-			}
-		default:
-			return grayCell{}, err
-		}
-		// Let heartbeats, detections and deferred-failover retries run
-		// between arrivals.
-		cl.Idle(costs.HeartbeatPeriod * 2)
-
-		// Handover churn: every fourth subscriber moves right after
-		// arriving; gray refusals (suspect target, cut edge, fenced
-		// source) are backpressure, not errors.
-		if i%4 == 3 {
-			if src, herr := cl.HostOf(name); herr == nil {
-				dst := fmt.Sprintf("cell-%d", i%hosts)
-				if dst != src {
-					if _, merr := cl.Move(name, dst); merr != nil {
-						if !isGrayBackpressure(merr) {
-							return grayCell{}, merr
-						}
-						cell.saturated++
-					}
-				}
-			}
-		}
-		// And every sixth departs, exercising lease revocation.
-		if i%6 == 5 && live > 1 {
-			victim := fmt.Sprintf("vm%03d", i-3)
-			if _, herr := cl.HostOf(victim); herr == nil {
-				if derr := cl.Destroy(victim); derr != nil && !isGrayBackpressure(derr) {
-					return grayCell{}, derr
-				}
-				live--
-			}
-		}
+	sc, err := cluster.NewSharded(cfg, []cluster.HostPool{
+		{Name: mode.String(), Mode: mode, Hosts: 4, VMs: n, Image: guest.Daytime()},
+	})
+	if err != nil {
+		return grayCell{}, err
 	}
-
-	// Close the injection window, then idle past the longest possible
-	// episode (a max-jitter partition) plus detection, so every host
-	// returns, fences its stale copies, and every deferred failover
-	// resolves. Without closing the window first this cannot converge:
-	// some host is always mid-episode.
-	cl.EndGrayWindow()
-	drain := costs.GrayPartitionMin + costs.GrayPartitionExtra + detect + 10*costs.HeartbeatPeriod
-	cl.Idle(drain)
-
-	rep := cl.HealthReport()
-	var unavail metrics.Series
-	for _, w := range rep.UnavailMS {
-		unavail.Add(w)
+	rep, err := sc.RunChurn(spec)
+	if err != nil {
+		return grayCell{}, err
 	}
-	cell.unavailP50 = unavail.Percentile(50)
-	cell.unavailP99 = unavail.Percentile(99)
-	cell.falsePositives = rep.FalsePositives
-	cell.doubleStarts = rep.DoubleStarts
-	cell.failovers = rep.Failovers
-	cell.deferred = rep.Deferred
-	cell.quarantined = rep.Quarantined
-	cell.staleRejected = rep.StaleRejected
-	cell.virtMS = float64(clock.Now().Milliseconds())
-
-	// Safety audit: cluster-wide lease invariants, then each host's
-	// cross-layer toolstack fsck.
-	cell.fsckViolations += len(cl.FsckLeases())
-	for _, hn := range cl.Hosts() {
-		h, err := cl.Host(hn)
-		if err != nil {
-			return grayCell{}, err
-		}
-		cell.fsckViolations += len(toolstack.Fsck(h.Env))
+	switch {
+	case rep.DoubleStarts > 0 || rep.FsckViolated > 0:
+		return grayCell{}, fmt.Errorf("%d double-starts, %d fsck violations (want 0/0)", rep.DoubleStarts, rep.FsckViolated)
+	case rep.Unplaced > 0:
+		return grayCell{}, fmt.Errorf("%d VMs unplaced after the drain", rep.Unplaced)
+	case rate == 0 && (rep.Detected != 0 || rep.Failovers != 0):
+		return grayCell{}, fmt.Errorf("rate-0 cell saw %d failovers", rep.Failovers)
 	}
-	if rate == 0 && cell.failovers != 0 {
-		return grayCell{}, fmt.Errorf("rate-0 cell saw %d failovers", cell.failovers)
-	}
-	return cell, nil
-}
-
-// isGrayBackpressure classifies the typed refusals a degraded cluster
-// is allowed to answer with: capacity exists but is quarantined or
-// suspect (saturation), the target edge is cut, or the source is
-// dead-declared / fenced.
-func isGrayBackpressure(err error) bool {
-	return errors.Is(err, cluster.ErrClusterSaturated) ||
-		errors.Is(err, cluster.ErrPartitioned) ||
-		errors.Is(err, cluster.ErrHostFailed) ||
-		errors.Is(err, toolstack.ErrStaleLease)
+	return grayCell{
+		unavailP50: rep.FailoverMS.Percentile(50),
+		unavailP99: rep.FailoverMS.Percentile(99),
+		rep:        rep,
+	}, nil
 }

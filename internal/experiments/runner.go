@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"runtime"
-	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -42,11 +41,6 @@ func (o Options) runSeries(n int, job func(i int) error) error {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			// Register this worker with the figure's allocation
-			// sampler (parallel RunMany only; see allocSampler).
-			if s := o.sampler; s != nil {
-				defer s.unbind(s.bind(o.samplerJob))
-			}
 			for i := range next {
 				errs[i] = job(i)
 			}
@@ -65,201 +59,29 @@ func (o Options) runSeries(n int, job func(i int) error) error {
 	return nil
 }
 
-// allocSampler estimates per-job heap allocations on parallel runs.
-// Go has no per-goroutine allocation counter, so the sampler reads the
-// process-wide object count (/gc/heap/allocs:objects, the same counter
-// MemStats.Mallocs reports) on a fine tick and splits each interval's
-// delta in proportion to the thread CPU each job's goroutines burned
-// during that interval. Every goroutine working for a job — the outer
-// figure runner and any workers its nested series pools spawn — pins
-// itself to an OS thread and registers the thread's CPU clock, which
-// the sampler reads remotely at every flush (see threadCPUClock).
-// Per-interval CPU is what makes the estimate robust on few cores:
-// when the scheduler time-slices jobs in coarse chunks, most intervals
-// see exactly one thread with a non-zero CPU delta, so that job is
-// correctly charged everything the interval allocated — including
-// allocations made while it was paying GC assist tax, which a
-// whole-run CPU split would smear across jobs. Only intervals with
-// genuinely concurrent progress fall back to the uniform
-// allocations-per-CPU-second assumption. The result is still an
-// estimate, but the total is conserved and the unit test holds it to
-// 10% of a sequential measurement. Off Linux (or if the kernel lacks
-// per-thread clocks) every CPU delta reads 0 and each interval is
-// split evenly among the jobs with registered threads.
-type allocSampler struct {
-	mu      sync.Mutex
-	est     []float64
-	last    uint64
-	sample  []metrics.Sample
-	threads map[*samplerThread]struct{}
-	weight  []float64 // per-job scratch, reused across flushes
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// samplerThread is one registered worker thread: which job it serves,
-// its remotely readable CPU clock, and the clock value at the last
-// flush.
-type samplerThread struct {
-	job     int
-	clock   threadCPUClock
-	lastCPU int64
-}
-
-func newAllocSampler(n int) *allocSampler {
-	s := &allocSampler{
-		est:     make([]float64, n),
-		sample:  []metrics.Sample{{Name: "/gc/heap/allocs:objects"}},
-		threads: make(map[*samplerThread]struct{}),
-		weight:  make([]float64, n),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	s.last = s.read()
-	go s.loop()
-	return s
-}
-
-// read returns the cumulative allocated-object count. Caller holds mu
-// (or is the constructor, before the loop starts).
-func (s *allocSampler) read() uint64 {
-	metrics.Read(s.sample)
-	return s.sample[0].Value.Uint64()
-}
-
-// flush attributes allocations since the previous sample to jobs in
-// proportion to the thread CPU their workers consumed in the interval
-// (evenly when no per-thread clock is readable). Caller holds mu.
-func (s *allocSampler) flush() {
-	cur := s.read()
-	delta := cur - s.last
-	s.last = cur
-	if len(s.threads) == 0 {
-		// Pool bookkeeping outside any job; not attributable.
-		return
-	}
-	for i := range s.weight {
-		s.weight[i] = 0
-	}
-	var sum float64
-	for th := range s.threads {
-		c := th.clock.read()
-		if d := c - th.lastCPU; d > 0 {
-			s.weight[th.job] += float64(d)
-			sum += float64(d)
-		}
-		th.lastCPU = c
-	}
-	if delta == 0 {
-		return
-	}
-	if sum > 0 {
-		for i, w := range s.weight {
-			if w > 0 {
-				s.est[i] += float64(delta) * (w / sum)
-			}
-		}
-		return
-	}
-	// No thread made measurable progress (or no CPU clock): split
-	// evenly among the jobs that have workers registered.
-	for th := range s.threads {
-		s.weight[th.job] = 1
-		sum++
-	}
-	for i, w := range s.weight {
-		if w > 0 {
-			s.est[i] += float64(delta) * (w / sum)
-		}
-	}
-}
-
-// bind pins the calling goroutine to its OS thread and registers the
-// thread as working for job; pair with unbind when the stint ends.
-func (s *allocSampler) bind(job int) *samplerThread {
-	runtime.LockOSThread()
-	th := &samplerThread{job: job, clock: currentThreadClock()}
-	th.lastCPU = th.clock.read()
-	s.mu.Lock()
-	s.flush()
-	s.threads[th] = struct{}{}
-	s.mu.Unlock()
-	return th
-}
-
-// unbind settles the thread's final interval, deregisters it and
-// unpins the goroutine.
-func (s *allocSampler) unbind(th *samplerThread) {
-	s.mu.Lock()
-	s.flush()
-	delete(s.threads, th)
-	s.mu.Unlock()
-	runtime.UnlockOSThread()
-}
-
-func (s *allocSampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(500 * time.Microsecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			s.flush()
-			s.mu.Unlock()
-		}
-	}
-}
-
-// finish stops the sampler and returns the per-job estimates.
-func (s *allocSampler) finish() []uint64 {
-	close(s.stop)
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flush()
-	out := make([]uint64, len(s.est))
-	for i, e := range s.est {
-		out[i] = uint64(e)
-	}
-	return out
-}
-
 // RunMany executes the given experiments on a bounded worker pool
 // (Options.Parallel workers; 0 = GOMAXPROCS) and returns their results
 // in input order. Per-figure wall time is recorded on each Result.
-// Allocation counts are exact on sequential runs (the global counter is
-// attributable to a single figure) and a sampling-based estimate on
-// parallel runs (see allocSampler).
+// Allocation counts are recorded on sequential runs only, where the
+// process-wide counter is attributable to a single figure; parallel
+// runs leave Result.Allocs at 0.
 func RunMany(ids []string, o Options) ([]Result, error) {
 	o = o.normalize()
 	sequential := o.workers() == 1
-	var sampler *allocSampler
-	if !sequential {
-		sampler = newAllocSampler(len(ids))
-		if o.Profile.enabled() {
-			// One profiling token: profiled figures take turns (CPU
-			// profiling is process-global), unprofiled ones keep the
-			// pool busy. See profile.go for the tradeoff.
-			o.profGate = make(chan struct{}, 1)
-		}
+	if !sequential && o.Profile.enabled() {
+		// One profiling token: profiled figures take turns (CPU
+		// profiling is process-global), unprofiled ones keep the pool
+		// busy. See profile.go for the tradeoff.
+		o.profGate = make(chan struct{}, 1)
 	}
 	out := make([]Result, len(ids))
-	err := o.runSeries(len(ids), func(i int) (retErr error) {
+	err := o.runSeries(len(ids), func(i int) error {
 		var m0 runtime.MemStats
-		oj := o
 		if sequential {
 			runtime.ReadMemStats(&m0)
-		} else {
-			// Register the figure's own goroutine and tag its Options
-			// so nested series pools register their workers too.
-			oj.sampler, oj.samplerJob = sampler, i
-			defer sampler.unbind(sampler.bind(i))
 		}
 		start := time.Now()
-		res, err := runProfiled(ids[i], oj)
+		res, err := runProfiled(ids[i], o)
 		if err != nil {
 			return err
 		}
@@ -276,14 +98,6 @@ func RunMany(ids []string, o Options) ([]Result, error) {
 		out[i] = res
 		return nil
 	})
-	if sampler != nil {
-		ests := sampler.finish()
-		for i := range out {
-			if out[i].ID != "" {
-				out[i].Allocs = ests[i]
-			}
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

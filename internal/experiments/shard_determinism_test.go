@@ -8,10 +8,11 @@ import (
 // Cross-shard determinism: Options.Shards selects how many engine
 // workers execute a sharded-cluster figure, and must never change what
 // the figure reports. The check runs each figure at 1, 2 and 8 shards
-// and demands byte-identical rendered JSON. fig12a/b and ext-gray ride
-// along as controls — they run on the single shared clock, so Shards
-// must be a no-op for them; ext-cluster is the figure the guarantee is
-// actually about.
+// and demands byte-identical rendered JSON. ext-cluster, ext-gray and
+// ext-faults are the figures the guarantee is about — each of their
+// cells is a sharded cluster, and in the last two every host draws its
+// own fault decisions; fig12a/b and ext-serve ride along as controls
+// that run on single clocks, so Shards must be a no-op for them.
 //
 // Allocation counts are the one thing allowed to move (worker
 // goroutines, channels and per-worker scratch are real allocations),
@@ -25,6 +26,7 @@ var shardDetFigures = []struct {
 	{"fig12a", Options{Scale: 0.05, Seed: 1, Samples: 8, Parallel: 1}},
 	{"fig12b", Options{Scale: 0.05, Seed: 1, Samples: 8, Parallel: 1}},
 	{"ext-gray", Options{Scale: 0.05, Seed: 1, Samples: 8, Parallel: 1}},
+	{"ext-faults", Options{Scale: 0.05, Seed: 1, Samples: 8, Parallel: 1}},
 	{"ext-cluster", Options{Scale: 0.005, Seed: 1, Samples: 8, Parallel: 1}},
 	{"ext-serve", Options{Scale: 0.05, Seed: 1, Samples: 8, Parallel: 1}},
 }

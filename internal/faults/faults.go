@@ -57,9 +57,11 @@ const (
 	// detection, cold-path inline prepare, bash-hotplug failover while
 	// the daemon restarts.
 	KindDaemonCrash
-	// KindHostFailure fails a whole host (site: experiment driver over
-	// internal/cluster). Recovery: cluster failover re-instantiates
-	// the lost VMs on surviving hosts with §7.1's placement.
+	// KindHostFailure crashes a whole cluster member (site: each create
+	// batch the member receives). Recovery: the controller detects the crash
+	// (heartbeat silence, or the rebooted host's new incarnation) and
+	// re-instantiates the lost VMs with §7.1's placement; the member
+	// reboots empty and rejoins.
 	KindHostFailure
 	// KindToolstackCrash kills the toolstack at a labeled crash point
 	// inside a lifecycle operation (sites: XL/Chaos Create/Destroy,
@@ -74,24 +76,24 @@ const (
 	KindToolstackCrash
 	// KindHostSlow degrades a host instead of killing it: control-plane
 	// work on the victim is dilated by a deterministic factor and its
-	// heartbeats arrive late (site: cluster health monitor). Recovery:
-	// none needed on the host — the monitor's job is to suspect it and
-	// route placements elsewhere without a false dead declaration.
+	// heartbeats arrive late (site: each cluster member's heartbeat).
+	// Recovery: none needed on the host; a DeadAfter too short for the
+	// lateness declares it dead (a false positive), and the fence
+	// reboots it empty.
 	KindHostSlow
-	// KindPartition cuts one edge of the cluster's pairwise
-	// reachability matrix for a while — host↔controller (heartbeats
+	// KindPartition cuts one edge of a cluster member for a while
+	// (site: each member's heartbeat) — host↔controller (heartbeats
 	// lost, the host looks dead while its guests keep running) or
-	// host↔host (migrations between them fail). Recovery: the lease
-	// fence — a partitioned host declared dead must not double-run
-	// domains that were failed over, and self-scrubs when the edge
-	// heals.
+	// host↔host (migrations between them fail). Recovery: fencing — a
+	// partitioned host declared dead is powered off out of band, and a
+	// host that dropped a command or an ack reboots itself empty, so no
+	// domain that was failed over runs twice.
 	KindPartition
-	// KindHostFlap silences a host completely, then lets it return as
-	// if nothing happened (site: cluster health monitor). The nastiest
-	// gray failure: detection must be fast enough to restore the
-	// guests, yet the returner must be fenced and the circuit breaker
-	// must quarantine repeat offenders instead of flapping placements
-	// back and forth.
+	// KindHostFlap crashes a cluster member for a short outage, after
+	// which it reboots empty (site: each member's heartbeat). The
+	// outage may be shorter than DeadAfter, so the controller must
+	// catch it from the new incarnation number in the returning host's
+	// beats rather than from silence.
 	KindHostFlap
 	// KindMemPressure shrinks the host's memory headroom: dom0 (or a
 	// noisy neighbor) balloons away a deterministic fraction of the
@@ -188,9 +190,9 @@ func (p Plan) siteAllowed(site string) bool {
 // KindToolstackCrash deliberately abandons an operation half-done, and
 // the overload kinds (mem pressure, store quota, retry storms) change
 // workload outcomes rather than just injecting latency. Keeping them
-// out of the empty-Kinds mask means existing rate sweeps (ext-faults,
-// ext-gray) keep their exact schedules and fault-oblivious drivers
-// never see torn state or shed work.
+// out of the empty-Kinds mask means rate sweeps that pass an empty
+// Kinds (the single-host figures) keep their exact schedules and
+// fault-oblivious drivers never see torn state or shed work.
 const optInKinds = 1<<KindToolstackCrash |
 	1<<KindMemPressure | 1<<KindStoreQuota | 1<<KindRetryStorm
 

@@ -312,8 +312,9 @@ func TestGrayKindNamesAndDefaultMask(t *testing.T) {
 			t.Fatalf("%d.String() = %q, want %q", int(k), k.String(), name)
 		}
 	}
-	// Gray kinds ride the default mask (safe: only the health monitor
-	// consults them), while toolstack crashes still require naming.
+	// Gray kinds ride the default mask (safe: only cluster members'
+	// heartbeats consult them), while toolstack crashes still require
+	// naming.
 	in := New(sim.NewClock(), 3, Plan{Rate: 0.5})
 	for k := range want {
 		if !in.Enabled(k) {

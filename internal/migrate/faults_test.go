@@ -118,9 +118,9 @@ func TestMigrationDropExhaustsResumesOnNoxs(t *testing.T) {
 		t.Fatalf("noxs path with every attempt dropped: %v, want ErrMigrationAborted", err)
 	}
 	// The noxs stream resumed before giving up: one initial attempt
-	// plus migrationRetries resumes were all dropped.
-	if got := inj.Injected(faults.KindMigrationDrop); got != migrationRetries+1 {
-		t.Fatalf("got %d drops before abort, want %d", got, migrationRetries+1)
+	// plus StreamResumes resumes were all dropped.
+	if got := inj.Injected(faults.KindMigrationDrop); got != StreamResumes+1 {
+		t.Fatalf("got %d drops before abort, want %d", got, StreamResumes+1)
 	}
 	if _, verr := src.VM("mg"); verr != nil {
 		t.Fatalf("source VM gone after rollback: %v", verr)

@@ -45,9 +45,9 @@ var (
 	ErrMigrationAborted = errors.New("migrate: migration aborted")
 )
 
-// migrationRetries bounds stream-resume attempts on the noxs path
+// StreamResumes bounds stream-resume attempts on the noxs path
 // before a migration gives up and rolls back.
-const migrationRetries = 3
+const StreamResumes = 3
 
 // Checkpoint is a saved guest.
 type Checkpoint struct {
@@ -498,7 +498,7 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 		if src.Faults.Fire(faults.KindMigrationDrop) {
 			part := time.Duration(float64(remaining) * src.Faults.Fraction(faults.KindMigrationDrop))
 			src.Clock.Sleep(part + costs.MigrationRTT)
-			if vm.Mode.UsesStore() || attempt >= migrationRetries {
+			if vm.Mode.UsesStore() || attempt >= StreamResumes {
 				rollback(src, dst, vm, newVM)
 				return nil, 0, fmt.Errorf("%w: %q: stream dropped on attempt %d",
 					ErrMigrationAborted, vm.Name, attempt+1)

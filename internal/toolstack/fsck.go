@@ -253,9 +253,9 @@ func trackEnv(e *Env) {
 	}
 }
 
-// MarkDead excludes an environment from FsckTracked — a simulated
-// whole-host failure (cluster.FailHost) leaves the corpse's state
-// frozen mid-flight by design.
+// MarkDead excludes an environment from FsckTracked — a crashed or
+// fenced cluster member leaves the corpse's state frozen mid-flight by
+// design.
 func (e *Env) MarkDead() { e.dead = true }
 
 // TrackedEnvs returns the live tracked environments.

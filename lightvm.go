@@ -66,14 +66,26 @@ type (
 	// VMConfig is a parsed guest configuration file (xl or chaos
 	// format).
 	VMConfig = toolstack.VMConfig
-	// Cluster manages a fleet of hosts on one timeline (§7.1's
-	// mobile-edge deployment): balanced placement, handover
-	// migrations, rebalancing.
-	Cluster = cluster.Cluster
+	// Cluster is a fleet of hosts under one controller (§7.1's
+	// mobile-edge deployment), each host its own logical process:
+	// least-loaded placement, handover migrations, heartbeat-detected
+	// failover, and an optional fault plane. RunChurn drives it.
+	Cluster = cluster.Sharded
+	// ClusterConfig sizes a Cluster (hardware, engine workers, seed,
+	// detection timeout, fault plan).
+	ClusterConfig = cluster.ShardedConfig
+	// HostPool is one homogeneous slice of a Cluster's hosts.
+	HostPool = cluster.HostPool
+	// ChurnSpec is the workload program Cluster.RunChurn executes.
+	ChurnSpec = cluster.ChurnSpec
+	// ChurnReport is Cluster.RunChurn's deterministic result.
+	ChurnReport = cluster.ChurnReport
 )
 
-// NewCluster creates an empty host fleet on clock.
-func NewCluster(clock *Clock) *Cluster { return cluster.New(clock) }
+// NewCluster builds a fleet of host pools under one controller.
+func NewCluster(cfg ClusterConfig, pools []HostPool) (*Cluster, error) {
+	return cluster.NewSharded(cfg, pools)
+}
 
 // UnmarshalCheckpoint parses a checkpoint serialized with
 // Checkpoint.Marshal (ship checkpoints between processes or hosts).
@@ -169,9 +181,8 @@ type ExperimentResult struct {
 	// VirtualMS is the figure's simulated makespan in milliseconds
 	// (0 = not instrumented by the generator).
 	VirtualMS float64
-	// Allocs is the generator's heap-allocation count: exact on
-	// sequential runs (parallel == 1), a sampling-based estimate on
-	// parallel runs.
+	// Allocs is the generator's heap-allocation count, recorded on
+	// sequential runs (parallel == 1) only; parallel runs leave it 0.
 	Allocs uint64
 	// Profile is the per-figure pprof attribution report; nil unless
 	// the run requested profiling (see ExperimentOptions).
@@ -253,9 +264,9 @@ type ExperimentProfile struct {
 
 func toExperimentResult(res experiments.Result) ExperimentResult {
 	out := ExperimentResult{
-		ID:        res.ID,
-		Paper:     res.Paper,
-		Output:    res.Table.String(),
+		ID:         res.ID,
+		Paper:      res.Paper,
+		Output:     res.Table.String(),
 		WallMS:     float64(res.Wall) / 1e6,
 		VirtualMS:  res.VirtualMS,
 		Allocs:     res.Allocs,

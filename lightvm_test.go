@@ -115,25 +115,17 @@ func TestImageByName(t *testing.T) {
 }
 
 func TestClusterThroughFacade(t *testing.T) {
-	c := lightvm.NewCluster(lightvm.NewClock())
-	if _, err := c.AddHost("edge-a", lightvm.Xeon14, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddHost("edge-b", lightvm.Xeon14, 2); err != nil {
-		t.Fatal(err)
-	}
-	_, host, err := c.Place(lightvm.ModeChaosNoXS, "fw-bob", lightvm.ClickOSFirewall())
+	c, err := lightvm.NewCluster(lightvm.ClusterConfig{Machine: lightvm.Xeon14, Workers: 2, Seed: 1},
+		[]lightvm.HostPool{{Name: "edge", Mode: lightvm.ModeChaosNoXS, Hosts: 2, VMs: 8, Image: lightvm.ClickOSFirewall()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := "edge-b"
-	if host == other {
-		other = "edge-a"
-	}
-	if _, err := c.Move("fw-bob", other); err != nil {
+	rep, err := c.RunChurn(lightvm.ChurnSpec{Waves: 2, WavePeriod: time.Second, MigratePerWave: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.HostOf("fw-bob"); got != other {
-		t.Fatalf("HostOf = %q", got)
+	p := rep.Pools[0]
+	if p.Placed != 8 || p.Migrations != 2 || rep.Unplaced != 0 || rep.FsckViolated != 0 {
+		t.Fatalf("placed=%d migrations=%d unplaced=%d fsck=%d", p.Placed, p.Migrations, rep.Unplaced, rep.FsckViolated)
 	}
 }
