@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
+.PHONY: build test perfbench-test verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -11,6 +11,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repo benchmark's own tests. perfbench is a separate Go module
+# (lightvm/perfbench), so `go test ./...` above never builds it; this
+# catches a simulator API change that breaks the benchmark build.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=readonly GOPROXY=off GOWORK=off $(GO) test ./...
 
 # Tier-1 gate: build + vet + full tests (including the xenstore alloc
 # budgets in internal/xenstore/alloc_test.go), then the race detector

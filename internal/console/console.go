@@ -51,21 +51,40 @@ func (d *Daemon) Detach(dom hv.DomID) {
 // Write appends guest output to the domain's ring, overwriting the
 // oldest bytes past capacity.
 func (d *Daemon) Write(dom hv.DomID, msg string) error {
-	r, ok := d.rings[dom]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoConsole, dom)
+	r, err := d.lookup(dom)
+	if err != nil {
+		return err
 	}
 	r.buf = append(r.buf, msg...)
+	r.trim()
+	return nil
+}
+
+// Writef is Write with formatting, formatted straight into the ring.
+func (d *Daemon) Writef(dom hv.DomID, format string, args ...interface{}) error {
+	r, err := d.lookup(dom)
+	if err != nil {
+		return err
+	}
+	r.buf = fmt.Appendf(r.buf, format, args...)
+	r.trim()
+	return nil
+}
+
+func (d *Daemon) lookup(dom hv.DomID) (*ring, error) {
+	r, ok := d.rings[dom]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrNoConsole, dom)
+	}
+	return r, nil
+}
+
+// trim drops the oldest bytes past RingSize.
+func (r *ring) trim() {
 	if over := len(r.buf) - RingSize; over > 0 {
 		r.buf = r.buf[over:]
 		r.dropped += over
 	}
-	return nil
-}
-
-// Writef is Write with formatting.
-func (d *Daemon) Writef(dom hv.DomID, format string, args ...interface{}) error {
-	return d.Write(dom, fmt.Sprintf(format, args...))
 }
 
 // Read returns the domain's buffered console output.

@@ -34,6 +34,11 @@ func (h *Hypervisor) AllocUnboundPort(owner, peer DomID) (Port, error) {
 	h.nextPort++
 	p := h.nextPort
 	h.ports[p] = &channel{owner: owner, peer: peer}
+	for _, e := range h.endpointsOf(owner, peer) {
+		if e != nil {
+			e.ports = append(e.ports, p)
+		}
+	}
 	h.charge(costs.EventChannelAlloc)
 	return p, nil
 }
@@ -111,6 +116,11 @@ func (h *Hypervisor) GrantAccess(owner, peer DomID, frame uint64, readonly bool)
 	h.nextGrant++
 	r := h.nextGrant
 	h.grants[r] = &grant{owner: owner, peer: peer, frame: frame, readonly: readonly}
+	for _, e := range h.endpointsOf(owner, peer) {
+		if e != nil {
+			e.grants = append(e.grants, r)
+		}
+	}
 	h.charge(costs.GrantRefSetup)
 	return r, nil
 }
@@ -193,4 +203,60 @@ func (h *Hypervisor) HasPort(p Port) bool {
 func (h *Hypervisor) HasGrant(r GrantRef) bool {
 	_, ok := h.grants[r]
 	return ok
+}
+
+// endpoints indexes the ports and grant refs one guest is an endpoint
+// of, owner or peer, so DestroyDomain releases exactly what a scan of
+// the whole host would. Port and grant numbers are never reused, so an
+// entry that ClosePort or EndGrant already removed is simply not found.
+type endpoints struct {
+	ports  []Port
+	grants []GrantRef
+}
+
+// release deletes every indexed port and grant from h's tables.
+func (e *endpoints) release(h *Hypervisor) {
+	for _, p := range e.ports {
+		delete(h.ports, p)
+	}
+	for _, r := range e.grants {
+		delete(h.grants, r)
+	}
+	e.ports, e.grants = e.ports[:0], e.grants[:0]
+}
+
+// endpointsOf returns the indexes a new port or grant between owner
+// and peer is recorded in; an entry is nil when that side needs none
+// (or repeats the owner).
+func (h *Hypervisor) endpointsOf(owner, peer DomID) [2]*endpoints {
+	out := [2]*endpoints{h.heldBy(owner)}
+	if peer != owner {
+		out[1] = h.heldBy(peer)
+	}
+	return out
+}
+
+// heldBy returns id's endpoint index, or nil when nothing can ever
+// release by id: Dom0 is never destroyed, and an id below nextID that
+// is not live is gone for good, because domain ids are never reused.
+// An id not created yet gets an index that CreateDomain hands over.
+func (h *Hypervisor) heldBy(id DomID) *endpoints {
+	if id == 0 {
+		return nil
+	}
+	if d, ok := h.domains[id]; ok {
+		return &d.held
+	}
+	if id < h.nextID {
+		return nil
+	}
+	e, ok := h.early[id]
+	if !ok {
+		if h.early == nil {
+			h.early = make(map[DomID]*endpoints)
+		}
+		e = &endpoints{}
+		h.early[id] = e
+	}
+	return e
 }

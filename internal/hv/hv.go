@@ -88,6 +88,14 @@ type Domain struct {
 
 	CreatedAt sim.Time
 	BootedAt  sim.Time
+
+	// held lists the event channels and grants this guest is an
+	// endpoint of, so DestroyDomain releases them without scanning the
+	// host's tables. The inline buffers cover a guest's usual one or
+	// two devices without a separate allocation.
+	held     endpoints
+	portBuf  [2]Port
+	grantBuf [2]GrantRef
 }
 
 // Config describes a domain to create.
@@ -122,6 +130,9 @@ type Hypervisor struct {
 	nextPort  Port
 	grants    map[GrantRef]*grant
 	nextGrant GrantRef
+	// early holds the endpoints of ids not created yet (a peer named
+	// ahead of its domain); CreateDomain hands them to the new guest.
+	early map[DomID]*endpoints
 
 	Count Counters
 }
@@ -195,6 +206,12 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		CreatedAt: h.Clock.Now(),
 	}
 	h.nextID++
+	d.held = endpoints{ports: d.portBuf[:0], grants: d.grantBuf[:0]}
+	if e, ok := h.early[d.ID]; ok {
+		d.held.ports = append(d.held.ports, e.ports...)
+		d.held.grants = append(d.held.grants, e.grants...)
+		delete(h.early, d.ID)
+	}
 	for i := 0; i < cfg.VCPUs; i++ {
 		core := i
 		if len(cfg.Cores) > 0 {
@@ -222,7 +239,11 @@ func (h *Hypervisor) PopulatePhysmap(id DomID, bytes uint64) error {
 	if err != nil {
 		return err
 	}
-	d.Mem = append(d.Mem, exts...)
+	if d.Mem == nil {
+		d.Mem = exts // the usual single populate: keep AllocBytes' slice
+	} else {
+		d.Mem = append(d.Mem, exts...)
+	}
 	d.MemBytes += bytes
 	mb := float64(bytes) / (1024 * 1024)
 	h.charge(sim.Duration(mb * float64(costs.MemReservePerMB)))
@@ -321,7 +342,11 @@ func (h *Hypervisor) Suspend(id DomID, reason string) error {
 }
 
 // DestroyDomain tears the domain down and releases its memory, event
-// channels and grants.
+// channels and grants. Both endpoints release: a dying guest's
+// mappings of Dom0 backend grants (owner=0, peer=guest) must not
+// outlive it, or the grant table fills with entries no one can ever
+// end. If releasing a shared region fails the domain stays dying; a
+// retry finishes the teardown without releasing any region twice.
 func (h *Hypervisor) DestroyDomain(id DomID) error {
 	if id == 0 {
 		return ErrNotPrivileged
@@ -331,21 +356,11 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		return err
 	}
 	d.State = StateDying
-	for port, ch := range h.ports {
-		if ch.owner == id || ch.peer == id {
-			delete(h.ports, port)
-		}
-	}
-	for ref, g := range h.grants {
-		// Both endpoints release: a dying guest's mappings of Dom0
-		// backend grants (owner=0, peer=guest) must not outlive it, or
-		// the grant table fills with entries no one can ever end.
-		if g.owner == id || g.peer == id {
-			delete(h.grants, ref)
-		}
-	}
+	d.held.release(h)
 	h.Mem.FreeOwner(mm.Owner(id))
-	for _, key := range d.SharedKeys {
+	for len(d.SharedKeys) > 0 {
+		key := d.SharedKeys[0]
+		d.SharedKeys = d.SharedKeys[1:]
 		if err := h.Share.Release(key); err != nil {
 			return fmt.Errorf("hv: destroy %d: %w", id, err)
 		}

@@ -10,6 +10,8 @@ package mm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -205,8 +207,11 @@ func (a *Allocator) AllocBytes(size uint64, o Owner) ([]Extent, error) {
 	}
 	// Decompose the request into power-of-two extents (largest first),
 	// covering it exactly at page granularity — no rounding waste, so
-	// footprint accounting stays faithful.
-	var out []Extent
+	// footprint accounting stays faithful: one MaxOrder block per
+	// 2^MaxOrder pages, then one extent per set bit of the remainder.
+	n := pages>>MaxOrder + uint64(bits.OnesCount64(pages&(1<<MaxOrder-1)))
+	out := make([]Extent, 0, n)
+	a.byOwner[o] = slices.Grow(a.byOwner[o], int(n))
 	for pages > 0 {
 		order := uint(0)
 		for order < MaxOrder && uint64(1)<<(order+1) <= pages {
@@ -217,6 +222,9 @@ func (a *Allocator) AllocBytes(size uint64, o Owner) ([]Extent, error) {
 			// Roll back partial allocation.
 			for _, e := range out {
 				_ = a.Free(e)
+			}
+			if len(a.byOwner[o]) == 0 {
+				delete(a.byOwner, o)
 			}
 			return nil, err
 		}

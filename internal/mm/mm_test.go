@@ -141,6 +141,16 @@ func TestAllocBytes(t *testing.T) {
 	if a.OwnerBytes(7) != pages*PageSize {
 		t.Fatalf("owner accounting %d != %d", a.OwnerBytes(7), pages*PageSize)
 	}
+	// The result is sized up front to exactly its extent count.
+	for _, size := range []uint64{1, PageSize, 3 * PageSize, 2560 * PageSize, 4<<30 + 5*PageSize} {
+		exts, err := newTest(8192).AllocBytes(size, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exts) != cap(exts) {
+			t.Fatalf("AllocBytes(%d): %d extents in a slice of cap %d", size, len(exts), cap(exts))
+		}
+	}
 }
 
 func TestAllocBytesRollbackOnFailure(t *testing.T) {
@@ -153,6 +163,9 @@ func TestAllocBytesRollbackOnFailure(t *testing.T) {
 	}
 	if a.OwnerBytes(1) != 0 {
 		t.Fatal("failed AllocBytes left owner accounting")
+	}
+	if _, ok := a.byOwner[1]; ok {
+		t.Fatal("failed AllocBytes left an owner index entry")
 	}
 }
 

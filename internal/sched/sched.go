@@ -76,10 +76,11 @@ func New(machine Machine) *Sched {
 func (s *Sched) Machine() Machine { return s.machine }
 
 // Place assigns the next guest to a core round-robin (the paper pins
-// VMs "to the VMs in a round-robin fashion").
+// VMs "to the VMs in a round-robin fashion"): GuestCores() in order,
+// computed without building the slice.
 func (s *Sched) Place() int {
-	cores := s.machine.GuestCores()
-	c := cores[s.rrNext%len(cores)]
+	m := s.machine
+	c := m.Dom0Cores + s.rrNext%(m.Cores-m.Dom0Cores)
 	s.rrNext++
 	return c
 }

@@ -232,3 +232,20 @@ func TestPSConservation(t *testing.T) {
 		t.Fatalf("makespan %v, want %v (±1µs)", last, want)
 	}
 }
+
+// Place hands out GuestCores round-robin on every testbed, without
+// building the core list.
+func TestPlaceMatchesGuestCores(t *testing.T) {
+	for _, m := range []Machine{Xeon4, Amd64, Xeon14, Xeon4Ckpt} {
+		s := New(m)
+		cores := m.GuestCores()
+		for i := 0; i < 3*len(cores)+1; i++ {
+			if got, want := s.Place(), cores[i%len(cores)]; got != want {
+				t.Fatalf("%s: Place #%d = %d, want %d", m.Name, i, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { s.Place() }); n != 0 {
+			t.Fatalf("%s: Place allocates %.1f times per call", m.Name, n)
+		}
+	}
+}

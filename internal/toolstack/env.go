@@ -293,10 +293,14 @@ func (e *Env) BootGuest(vm *VM) error {
 	e.dom0WakeRate += im.WakeRatePerSec
 	vm.Booted = true
 	e.Console.Attach(vm.Dom.ID)
+	bus := "noxs"
+	if vm.Mode.UsesStore() {
+		bus = "xenbus"
+	}
 	_ = e.Console.Writef(vm.Dom.ID,
 		"%s: booting %s (%s) on vcpu->core %d\n%s: %d device(s) connected via %s\n%s: ready in %v\n",
 		vm.Name, im.Name, im.Kind, vm.Core,
-		vm.Name, len(im.Devices), map[bool]string{true: "xenbus", false: "noxs"}[vm.Mode.UsesStore()],
+		vm.Name, len(im.Devices), bus,
 		vm.Name, e.Clock.Now())
 	return nil
 }

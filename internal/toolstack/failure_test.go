@@ -91,7 +91,7 @@ func TestReplenishSurfacesOOM(t *testing.T) {
 	e := tinyEnv()
 	e.Pool.SetTarget(64) // 64 Debian shells can never fit in 1GB
 	f := FlavorFor(guest.DebianMinimal(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(f)
 	if err := e.Pool.Replenish(); !errors.Is(err, mm.ErrOutOfMemory) {
 		t.Fatalf("replenish on full host: %v", err)
 	}

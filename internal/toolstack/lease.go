@@ -8,11 +8,14 @@ import (
 	"lightvm/internal/hv"
 )
 
-// Lease-fenced domain ownership: the split-brain half of the cluster's
-// gray-failure story (internal/cluster/health.go is the detection
-// half).
+// Lease-fenced domain ownership: a journal-level fence against split
+// brain. The cluster's own detection is the sharded controller's
+// heartbeat-silence monitor (internal/cluster/sharded.go), which
+// fences a dead host by power-off and incarnation rather than by
+// lease; this file is the toolstack-side mechanism for a controller
+// that hands out leases.
 //
-// Every cluster placement carries a monotonically increasing epoch.
+// Every leased placement carries a monotonically increasing epoch.
 // The owning Dom0 records its claim durably in the same intent journal
 // the crash-consistent lifecycle uses (crash.go) — a store node under
 // /tool/journal on the xl path, a kernel-memory journal entry on the
@@ -31,11 +34,10 @@ import (
 // cluster state — the journal is the only thing it can trust, and
 // replaying it (Scrub) is exactly the self-fencing walk.
 //
-// Everything here is inert until a LeaseChecker is attached (the
-// cluster arms one per member when its health monitor is enabled):
-// unarmed environments hold no leases, write no records, and charge
-// zero extra virtual time, so all pre-existing figures stay
-// byte-identical.
+// Everything here is inert until a LeaseChecker is attached (no
+// cluster controller attaches one today; the lease tests do): unarmed
+// environments hold no leases, write no records, and charge zero extra
+// virtual time, so all pre-existing figures stay byte-identical.
 
 // ErrStaleLease marks an operation rejected by the ownership fence:
 // the caller's lease epoch for the domain is no longer current —

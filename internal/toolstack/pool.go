@@ -1,7 +1,7 @@
 package toolstack
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -26,13 +26,29 @@ type Flavor struct {
 	Devices []guest.DeviceSpec
 }
 
-// key folds a flavor to a map key (device kinds matter, MACs don't).
+// key folds a flavor to a map key (device kinds matter, MACs don't):
+// "<image>/<mem bytes>/<store>" plus "/<kind>" per device.
 func (f Flavor) key() string {
-	k := fmt.Sprintf("%s/%d/%v", f.Img.Name, f.Img.MemBytes, f.Store)
+	var buf [keyBufLen]byte
+	return string(f.appendKey(buf[:0]))
+}
+
+// keyBufLen sizes the stack buffer a key is built in; longer keys
+// still work, they just spill to the heap.
+const keyBufLen = 64
+
+// appendKey appends f's key to b.
+func (f Flavor) appendKey(b []byte) []byte {
+	b = append(b, f.Img.Name...)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, f.Img.MemBytes, 10)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, f.Store)
 	for _, d := range f.Devices {
-		k += "/" + d.Kind.String()
+		b = append(b, '/')
+		b = append(b, d.Kind.String()...)
 	}
-	return k
+	return b
 }
 
 // FlavorFor derives the shell flavor for an image under a device path.
@@ -54,6 +70,15 @@ type Shell struct {
 	Dom    *hv.Domain
 	Core   int
 	Flavor Flavor
+}
+
+// stock is one flavor's slot in the pool: the flavor Replenish keeps
+// stocked (the latest one taken or registered under key) and its
+// ready shells, oldest first.
+type stock struct {
+	key    string
+	flavor Flavor
+	shells []*Shell
 }
 
 // PoolStats reports pool behaviour for tests and benchmarks.
@@ -78,10 +103,10 @@ type Pool struct {
 	// like the single-threaded chaos daemon. The environment's clock is
 	// only ever advanced under mu on these paths, which is what makes
 	// concurrent callers -race-clean.
-	mu      sync.Mutex
-	shells  map[string][]*Shell
-	flavors map[string]Flavor
-	Stats   PoolStats
+	mu     sync.Mutex
+	stocks map[string]*stock
+	order  []*stock // sorted by key: the replenish and reap order
+	Stats  PoolStats
 
 	// downUntil is when the restarted daemon comes back after an
 	// injected crash; until then Take misses and Replenish is a no-op,
@@ -94,7 +119,29 @@ type Pool struct {
 
 // NewPool creates an empty pool with a default target depth of 8.
 func NewPool(env *Env) *Pool {
-	return &Pool{env: env, target: 8, shells: make(map[string][]*Shell), flavors: make(map[string]Flavor)}
+	return &Pool{env: env, target: 8, stocks: make(map[string]*stock)}
+}
+
+// lookup returns f's stock, or nil if the flavor was never registered.
+// The key is built on the stack, so a hit does not allocate. Caller
+// holds mu.
+func (p *Pool) lookup(f Flavor) *stock {
+	var buf [keyBufLen]byte
+	return p.stocks[string(f.appendKey(buf[:0]))]
+}
+
+// register records f as its key's flavor, adding the stock in key
+// order on first sight. Caller holds mu.
+func (p *Pool) register(f Flavor) *stock {
+	st := p.lookup(f)
+	if st == nil {
+		st = &stock{key: f.key()}
+		p.stocks[st.key] = st
+		i := sort.Search(len(p.order), func(i int) bool { return p.order[i].key >= st.key })
+		p.order = slices.Insert(p.order, i, st)
+	}
+	st.flavor = f
+	return st
 }
 
 // SetTarget configures the per-flavor shell depth. Negative depths
@@ -121,7 +168,10 @@ func (p *Pool) Target() int {
 func (p *Pool) Available(f Flavor) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.shells[f.key()])
+	if st := p.lookup(f); st != nil {
+		return len(st.shells)
+	}
+	return 0
 }
 
 // ShellDomIDs lists the domains backing every pooled shell, sorted.
@@ -131,8 +181,8 @@ func (p *Pool) ShellDomIDs() []hv.DomID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []hv.DomID
-	for _, q := range p.shells {
-		for _, s := range q {
+	for _, st := range p.order {
+		for _, s := range st.shells {
 			out = append(out, s.Dom.ID)
 		}
 	}
@@ -147,7 +197,7 @@ func (p *Pool) ShellDomIDs() []hv.DomID {
 func (p *Pool) Register(f Flavor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.flavors[f.key()] = f
+	p.register(f)
 }
 
 // DaemonDown reports whether the pool daemon is currently dead (an
@@ -163,16 +213,11 @@ func (p *Pool) DaemonDown() bool { return p.env.Clock.Now() < sim.Time(p.downUnt
 // holds mu.
 func (p *Pool) crash() {
 	e := p.env
-	keys := make([]string, 0, len(p.shells))
-	for k := range p.shells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, s := range p.shells[k] {
+	for _, st := range p.order {
+		for _, s := range st.shells {
 			p.reap(s)
 		}
-		delete(p.shells, k)
+		st.shells = nil
 	}
 	p.Stats.Crashes++
 	p.downUntil.Store(int64(e.Clock.Now().Add(costs.PoolDaemonRestart)))
@@ -207,24 +252,27 @@ func (p *Pool) reap(s *Shell) {
 func (p *Pool) Take(f Flavor) *Shell {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := f.key()
-	p.flavors[k] = f
+	st := p.register(f)
 	if p.env.Faults.Fire(faults.KindDaemonCrash) {
 		p.crash()
 	}
 	if p.DaemonDown() {
 		p.Stats.Misses++
-		p.env.Trace.Emit("pool", "miss", k, "daemon-down", 0)
+		p.env.Trace.Emit("pool", "miss", st.key, "daemon-down", 0)
 		return nil
 	}
-	q := p.shells[k]
+	q := st.shells
 	if len(q) == 0 {
 		p.Stats.Misses++
-		p.env.Trace.Emit("pool", "miss", k, "", 0)
+		p.env.Trace.Emit("pool", "miss", st.key, "", 0)
 		return nil
 	}
+	// Shift down instead of reslicing so the queue's backing array is
+	// reused by the next replenish instead of regrown.
 	s := q[0]
-	p.shells[k] = q[1:]
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	st.shells = q[:len(q)-1]
 	p.Stats.Taken++
 	p.env.Clock.Sleep(costs.ShellPoolHit)
 	return s
@@ -250,22 +298,16 @@ func (p *Pool) ReplenishUntil(deadline sim.Time) error {
 	if p.DaemonDown() {
 		return nil
 	}
-	keys := make([]string, 0, len(p.flavors))
-	for k := range p.flavors {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		f := p.flavors[k]
-		for len(p.shells[k]) < p.target {
+	for _, st := range p.order {
+		for len(st.shells) < p.target {
 			if deadline > 0 && p.env.Clock.Now() >= deadline {
 				return nil
 			}
-			s, err := p.prepare(f)
+			s, err := p.prepare(st.flavor, st.key)
 			if err != nil {
 				return err
 			}
-			p.shells[k] = append(p.shells[k], s)
+			st.shells = append(st.shells, s)
 		}
 	}
 	return nil
@@ -277,22 +319,22 @@ func (p *Pool) ReplenishUntil(deadline sim.Time) error {
 func (p *Pool) Prepare(f Flavor) (*Shell, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.prepare(f)
+	return p.prepare(f, f.key())
 }
 
-// prepare is Prepare with mu held. A shell being prepared is journaled
-// under "shell:<domid>" — if the daemon crashes at a crash point the
-// half-built shell leaks (no rollback) and recovery reaps it from the
-// journal; it never enters the pool, so it cannot also be reaped by a
-// later daemon-crash drain.
-func (p *Pool) prepare(f Flavor) (*Shell, error) {
+// prepare is Prepare with mu held; fkey is f's key, for the trace. A
+// shell being prepared is journaled under "shell:<domid>" — if the
+// daemon crashes at a crash point the half-built shell leaks (no
+// rollback) and recovery reaps it from the journal; it never enters
+// the pool, so it cannot also be reaped by a later daemon-crash drain.
+func (p *Pool) prepare(f Flavor, fkey string) (*Shell, error) {
 	e := p.env
 	core := e.Sched.Place()
 	dom, err := e.HV.CreateDomain(hv.Config{MaxMem: f.Img.MemBytes, VCPUs: 1, Cores: []int{core}})
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("shell:%d", dom.ID)
+	key := "shell:" + strconv.Itoa(int(dom.ID))
 	e.journalSet(f.Store, key, journalOpPrepare, "devices", dom.ID)
 	if cerr := e.crashPoint("pool.prepare.hv"); cerr != nil {
 		return nil, cerr
@@ -331,7 +373,7 @@ func (p *Pool) prepare(f Flavor) (*Shell, error) {
 	e.Clock.Sleep(costs.ShellPrepare)
 	p.Stats.Prepared++
 	e.journalClear(f.Store, key)
-	e.Trace.Emit("pool", "prepare", f.key(), "", 0)
+	e.Trace.Emit("pool", "prepare", fkey, "", 0)
 	return &Shell{Dom: dom, Core: core, Flavor: f}, nil
 }
 

@@ -41,7 +41,7 @@ func TestCreateDestroyAllModes(t *testing.T) {
 			e := newEnv()
 			drv := e.ForMode(mode)
 			if mode.UsesSplit() {
-				e.Pool.flavors[FlavorFor(guest.Daytime(), mode.UsesStore()).key()] = FlavorFor(guest.Daytime(), mode.UsesStore())
+				e.Pool.Register(FlavorFor(guest.Daytime(), mode.UsesStore()))
 				if err := e.Pool.Replenish(); err != nil {
 					t.Fatal(err)
 				}
@@ -161,7 +161,7 @@ func TestCreationTimeOrderingAcrossModes(t *testing.T) {
 				if err := e.Pool.Replenish(); err != nil {
 					t.Fatal(err)
 				}
-				e.Pool.flavors[FlavorFor(guest.Daytime(), mode.UsesStore()).key()] = FlavorFor(guest.Daytime(), mode.UsesStore())
+				e.Pool.Register(FlavorFor(guest.Daytime(), mode.UsesStore()))
 			}
 			if _, err := drv.Create(fmt.Sprintf("g%d", i), guest.Daytime()); err != nil {
 				t.Fatal(err)
@@ -196,7 +196,7 @@ func TestLightVMNoopFloor(t *testing.T) {
 	}
 	// Seed the flavor, replenish, then measure.
 	f := FlavorFor(guest.Noop(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(f)
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestLightVMFlatScaling(t *testing.T) {
 	e := newEnv()
 	drv := e.ForMode(ModeLightVM)
 	f := FlavorFor(guest.Daytime(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(f)
 	var firstTime, lastTime time.Duration
 	for i := 0; i < 300; i++ {
 		if err := e.Pool.Replenish(); err != nil {
@@ -283,7 +283,7 @@ func TestPoolReplenishKeepsDepth(t *testing.T) {
 	e := newEnv()
 	e.Pool.SetTarget(5)
 	f := FlavorFor(guest.Noop(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(f)
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
