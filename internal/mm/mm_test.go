@@ -77,6 +77,10 @@ func TestOutOfMemory(t *testing.T) {
 	if _, err := a.AllocPages(512, 1); err != ErrOutOfMemory {
 		t.Fatalf("want ErrOutOfMemory, got %v", err)
 	}
+	// Far past all memory: fails before sizing an extent list by it.
+	if _, err := a.AllocBytes(1<<62, 1); err != ErrOutOfMemory {
+		t.Fatalf("want ErrOutOfMemory for 4 EiB, got %v", err)
+	}
 	// Exhaust, then fail.
 	var exts []Extent
 	for {

@@ -217,10 +217,6 @@ func (c *Chaos) createDevices(vm *VM) error {
 // recovery.
 func (c *Chaos) Destroy(vm *VM) error {
 	e := c.env
-	// Ownership fence, as in xl: stale-epoch teardowns are rejected.
-	if err := e.CheckLease(vm.Name); err != nil {
-		return err
-	}
 	us := c.mode.UsesStore()
 	var crashErr error
 	e.RunDom0(func() {

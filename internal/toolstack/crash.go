@@ -49,10 +49,6 @@ const (
 	journalOpDestroy = "destroy"
 	journalOpClone   = "clone"
 	journalOpPrepare = "prepare"
-	// journalOpLease is not a lifecycle intent but a durable ownership
-	// claim (lease.go): it is neither rolled forward nor back — the
-	// scrubber validates it against the cluster's epoch table instead.
-	journalOpLease = "lease"
 )
 
 // journalRoot is the store directory xl-style journals live under.
@@ -60,18 +56,14 @@ const journalRoot = "/tool/journal"
 
 // journalRecord is one parsed intent-journal entry.
 type journalRecord struct {
-	Key   string // VM name, "shell:<domid>" for pool prepares, "lease:<vm>" for leases
-	Op    string // journalOp*
-	Step  string // the step that was about to run when the record was current
-	Dom   hv.DomID
-	Epoch uint64 // lease records only: the placement epoch claimed
+	Key  string // VM name, or "shell:<domid>" for pool prepares
+	Op   string // journalOp*
+	Step string // the step that was about to run when the record was current
+	Dom  hv.DomID
 }
 
 // encode renders the record's store/module value.
 func (r journalRecord) encode() string {
-	if r.Epoch != 0 {
-		return fmt.Sprintf("op=%s step=%s dom=%d epoch=%d", r.Op, r.Step, r.Dom, r.Epoch)
-	}
 	return fmt.Sprintf("op=%s step=%s dom=%d", r.Op, r.Step, r.Dom)
 }
 
@@ -93,10 +85,6 @@ func parseJournalRecord(key, value string) journalRecord {
 		case "dom":
 			if id, err := strconv.Atoi(v); err == nil {
 				r.Dom = hv.DomID(id)
-			}
-		case "epoch":
-			if ep, err := strconv.ParseUint(v, 10, 64); err == nil {
-				r.Epoch = ep
 			}
 		}
 	}

@@ -45,7 +45,7 @@ const (
 var modeNames = [...]string{"xl", "chaos [XS]", "chaos [XS+split]", "chaos [NoXS]", "LightVM"}
 
 func (m Mode) String() string {
-	if int(m) < len(modeNames) {
+	if m >= 0 && int(m) < len(modeNames) {
 		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
@@ -138,19 +138,8 @@ type Env struct {
 	// Console is the xenconsoled daemon draining guest console rings.
 	Console *console.Daemon
 
-	// LeaseCheck, when non-nil, arms the ownership fence (lease.go):
-	// the cluster attaches a validator against its epoch table, and
-	// destroy/migrate/scrub reject or reap domains whose recorded lease
-	// epoch is stale. Nil (the default) disables fencing entirely.
-	LeaseCheck LeaseChecker
-
 	vms    map[string]*VM
 	nextVM int
-
-	// leases holds this Dom0's placement-epoch claims (lease.go);
-	// staleRejected counts operations the fence turned away.
-	leases        map[string]uint64
-	staleRejected uint64
 
 	// dom0Wake tracks aggregate guest wake rate for Dom0 dilation.
 	dom0WakeRate float64

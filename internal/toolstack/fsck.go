@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"lightvm/internal/hv"
@@ -68,39 +67,14 @@ func Fsck(e *Env) []Violation {
 			}
 		}
 	}
-	// Lease records share the journal but are ownership claims, not
-	// intents: a claim is validated (live domain, current epoch), not
-	// flagged as dirt.
-	checkLease := func(layer string, rec journalRecord) {
-		name := strings.TrimPrefix(rec.Key, leasePrefix)
-		vm, tracked := e.vms[name]
-		if !tracked || vm.Dom == nil {
-			add(layer, "lease-without-vm", rec.Key, "ownership claim with no tracked domain (epoch %d)", rec.Epoch)
-			return
-		}
-		if held, ok := e.leases[name]; !ok || held != rec.Epoch {
-			add(layer, "lease-epoch-skew", rec.Key, "journal claims epoch %d, in-memory table holds %d", rec.Epoch, e.leases[name])
-		}
-		if e.LeaseCheck != nil && !e.LeaseCheck(name, rec.Epoch) {
-			add(layer, "stale-lease", rec.Key, "epoch %d no longer current — the fence should have scrubbed this copy", rec.Epoch)
-		}
-	}
 	if keys, err := snap.Directory(journalRoot); err == nil {
 		sort.Strings(keys)
 		for _, k := range keys {
 			v, _ := snap.Read(journalRoot + "/" + k)
-			if strings.HasPrefix(k, leasePrefix) {
-				checkLease("xenstore", parseJournalRecord(k, v))
-				continue
-			}
 			add("xenstore", "journal-dirty", journalRoot+"/"+k, "unrecovered intent: %s", v)
 		}
 	}
 	for _, ent := range e.Noxs.JournalEntries() {
-		if strings.HasPrefix(ent.Key, leasePrefix) {
-			checkLease("noxs", parseJournalRecord(ent.Key, ent.Record))
-			continue
-		}
 		add("noxs", "journal-dirty", ent.Key, "unrecovered intent: %s", ent.Record)
 	}
 

@@ -71,12 +71,6 @@ func (e *Env) Scrub(mode Mode) ScrubReport {
 // on reapDomain: for a destroy intent that IS the roll-forward, for
 // every other op it is the roll-back of whatever had been built.
 func (e *Env) replayJournal(rec journalRecord, useStore bool, r *ScrubReport) {
-	if rec.Op == journalOpLease {
-		// Not an intent: a durable ownership claim. Valid claims stay;
-		// stale ones fence the local copy (lease.go).
-		e.scrubLease(rec, useStore, r)
-		return
-	}
 	_ = e.reapDomain(rec.Dom, useStore, rec.Key, r)
 	// Clear directly (not via the gated journalClear): the record
 	// exists, whatever the injector's current plan says.

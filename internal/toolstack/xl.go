@@ -232,12 +232,6 @@ func (x *XL) createDevices(vm *VM) error {
 // go), so the journal is written before the first teardown step.
 func (x *XL) Destroy(vm *VM) error {
 	e := x.env
-	// Ownership fence: a stale lease means the domain was failed over
-	// while this host was unreachable — hands off (the scrubber, not
-	// the normal lifecycle, reaps the local copy).
-	if err := e.CheckLease(vm.Name); err != nil {
-		return err
-	}
 	var crashErr error
 	e.RunDom0(func() {
 		e.UnregisterRunning(vm)

@@ -107,19 +107,17 @@ func (r *Reject) Error() string {
 
 func (r *Reject) Unwrap() error { return r.Cause }
 
-// Config parameterizes one open-loop serving run on one host.
+// Config parameterizes one open-loop serving run on one host. The
+// host is the 8-core/32GB serving machine (serveMachine), every VM
+// mode boots the Daytime unikernel, each instance answers exactly one
+// request, and XenStore access logging is off: §4.2 calls out
+// oxenstored logging 20 files per access (with a 90ms rotation pause)
+// as a toolstack pathology no production serving path would run with.
 type Config struct {
-	Machine  sched.Machine // zero value: 8-core/32GB serving host
 	Mode     Mode
-	Image    guest.Image // guest app image for the VM modes (default Daytime)
 	Seed     uint64
 	Arrivals Arrivals // required
 	Requests int      // number of arrivals to generate (required)
-
-	// RequestsPerSession batches requests onto one instance: the
-	// first request of a session pays the boot, the rest ride the
-	// already-running guest. Default 1 (pure per-request).
-	RequestsPerSession int
 
 	// MaxBacklog is the admission limit on control-plane lag; arrivals
 	// finding a deeper queue are shed with RejectBacklog. Default 500ms.
@@ -131,19 +129,6 @@ type Config struct {
 	// Scaler tunes the pool autoscaler (pool modes only; Policy is
 	// overridden to match Mode).
 	Scaler toolstack.AutoscalerConfig
-	// WarmEvery samples the warm-shell count every N arrivals into
-	// Stats.Warm. Default Requests/16.
-	WarmEvery int
-
-	// Program is the minipython source executed per request when the
-	// image app is "minipython". Default computes a small sum.
-	Program string
-
-	// KeepStoreLogs leaves XenStore access logging on. By default the
-	// serving host disables it: §4.2 calls out oxenstored logging 20
-	// files per access (with a 90ms rotation pause) as a toolstack
-	// pathology, and no production serving path would run with it.
-	KeepStoreLogs bool
 
 	// FaultPlan, when its Rate is non-zero, arms the host's fault
 	// plane for this run. The overload kinds are opt-in: name
@@ -156,9 +141,6 @@ type Config struct {
 	// value reproduces the undefended plane bit for bit.
 	Defense Defense
 
-	// MaxAttempts bounds a request's total attempts (first try +
-	// storm retries). Default 4.
-	MaxAttempts int
 	// RetryBackoff is the client's base backoff before a storm retry;
 	// doubled per attempt, plus seeded jitter. Default Timeout/4.
 	RetryBackoff time.Duration
@@ -220,7 +202,7 @@ type Stats struct {
 	Phases []PhaseStats
 
 	Latency  metrics.Histogram
-	Warm     []int // shells-warm samples over time (every WarmEvery arrivals)
+	Warm     []int // shells-warm samples over time (every Requests/16 arrivals)
 	AppCalls uint64
 	Elapsed  time.Duration // virtual time consumed
 }
@@ -290,7 +272,17 @@ func (s *Stats) Merge(o *Stats) {
 	}
 }
 
-const defaultProgram = "total = 0\nfor i in range(10):\n    total = total + i\nprint(total)\n"
+// serveMachine is the serving host every run boots on.
+var serveMachine = sched.Machine{Name: "serve", Cores: 8, Dom0Cores: 1, MemoryGB: 32}
+
+const (
+	// maxAttempts bounds a request's total attempts (first try + storm
+	// retries).
+	maxAttempts = 4
+	// batchFraction is the seeded share of fresh arrivals tagged
+	// ClassBatch under Defense.PriorityShed.
+	batchFraction = 0.25
+)
 
 // Serve runs one open-loop serving timeline on a fresh host and
 // returns its stats plus the host (for fsck and inspection).
@@ -309,18 +301,6 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	if cfg.Requests <= 0 {
 		return nil, nil, errors.New("traffic: Config.Requests must be positive")
 	}
-	machine := cfg.Machine
-	if machine.Cores == 0 {
-		machine = sched.Machine{Name: "serve", Cores: 8, Dom0Cores: 1, MemoryGB: 32}
-	}
-	img := cfg.Image
-	if img.Name == "" {
-		img = guest.Daytime()
-	}
-	perSession := cfg.RequestsPerSession
-	if perSession < 1 {
-		perSession = 1
-	}
 	maxBacklog := cfg.MaxBacklog
 	if maxBacklog <= 0 {
 		maxBacklog = 500 * time.Millisecond
@@ -329,21 +309,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	warmEvery := cfg.WarmEvery
-	if warmEvery <= 0 {
-		warmEvery = cfg.Requests / 16
-		if warmEvery == 0 {
-			warmEvery = 1
-		}
-	}
-	program := cfg.Program
-	if program == "" {
-		program = defaultProgram
-	}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 4
-	}
+	warmEvery := max(cfg.Requests/16, 1)
 	retryBackoff := cfg.RetryBackoff
 	if retryBackoff <= 0 {
 		retryBackoff = timeout / 4
@@ -352,24 +318,19 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	if d.LatencyTarget <= 0 {
 		d.LatencyTarget = timeout / 2
 	}
-	batchFrac := d.BatchFraction
-	if d.PriorityShed && batchFrac <= 0 {
-		batchFrac = 0.25
-	}
 
-	h, err := core.NewHost(machine, cfg.Seed)
+	h, err := core.NewHost(serveMachine, cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.KeepStoreLogs {
-		h.Env.Store.LoggingEnabled = false
-	}
+	h.Env.Store.LoggingEnabled = false
 	if cfg.FaultPlan.Rate > 0 {
 		h.Env.SetFaults(faults.New(h.Clock, cfg.Seed, cfg.FaultPlan))
 	}
 	in := h.Env.Faults // nil without a plan; nil injectors never fire
 
 	tsMode := modeToolstack(cfg.Mode)
+	img := guest.Daytime()
 	bootWork := img.BootWork
 	img.BootWork = time.Microsecond
 	degImg := brownoutImage(img)
@@ -416,7 +377,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		budget = newRetryBudget(d.RetryBudget)
 	}
 	var classRNG *sim.RNG
-	if batchFrac > 0 {
+	if d.PriorityShed {
 		classRNG = sim.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	}
 
@@ -476,7 +437,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		default:
 			st.RejectedBacklog++
 		}
-		if batchFrac > 0 {
+		if d.PriorityShed {
 			if class == ClassBatch {
 				st.ShedBatch++
 			} else {
@@ -522,7 +483,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 			if freshLeft > 0 {
 				freshAt = freshAt.Add(cfg.Arrivals.Next())
 			}
-			if classRNG != nil && classRNG.Float64() < batchFrac {
+			if classRNG != nil && classRNG.Float64() < batchFraction {
 				class = ClassBatch
 			}
 			if budget != nil {
@@ -609,10 +570,6 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 			if lat > timeout {
 				scheduleRetry(arrive.Add(timeout), orig, attempt, class)
 			}
-			for r := 1; r < perSession; r++ {
-				observe(ph, appWork)
-				st.Arrived++
-			}
 			if err := h.Docker.Stop(c.ID); err != nil {
 				return nil, nil, err
 			}
@@ -626,10 +583,6 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 			observe(ph, lat)
 			if lat > timeout {
 				scheduleRetry(arrive.Add(timeout), orig, attempt, class)
-			}
-			for r := 1; r < perSession; r++ {
-				observe(ph, appWork)
-				st.Arrived++
 			}
 		default: // the unikernel modes
 			useImg, degraded := img, false
@@ -661,27 +614,10 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 			}
 			// The guest finishes booting bootWork later, on its own core.
 			ready := h.Clock.Now().Add(bootWork)
-			call := func() error {
-				switch app := h.AppOf(name).(type) {
-				case *apps.Daytime:
-					if app.Serve() == "" {
-						return fmt.Errorf("traffic: %s served empty daytime", name)
-					}
-				case *apps.PyFunc:
-					if _, err := app.Run(program); err != nil {
-						return fmt.Errorf("traffic: %s: %w", name, err)
-					}
-				default:
-					if !h.Ping(vm) {
-						return fmt.Errorf("traffic: %s did not answer", name)
-					}
-				}
-				st.AppCalls++
-				return nil
+			if app, ok := h.AppOf(name).(*apps.Daytime); !ok || app.Serve() == "" {
+				return nil, nil, fmt.Errorf("traffic: %s served no daytime", name)
 			}
-			if err := call(); err != nil {
-				return nil, nil, err
-			}
+			st.AppCalls++
 			if degraded {
 				st.DegradedServed++
 			}
@@ -689,13 +625,6 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 			observe(ph, lat)
 			if lat > timeout {
 				scheduleRetry(arrive.Add(timeout), orig, attempt, class)
-			}
-			for r := 1; r < perSession; r++ {
-				if err := call(); err != nil {
-					return nil, nil, err
-				}
-				observe(ph, appWork)
-				st.Arrived++
 			}
 			// Teardown rides the control plane after the response — it
 			// is off this request's latency but delays the next one.

@@ -98,34 +98,6 @@ func TestServeTimeouts(t *testing.T) {
 	}
 }
 
-// TestServeSessions: with N requests per session only the first pays
-// the boot; the rest ride the running guest and the accounting scales.
-func TestServeSessions(t *testing.T) {
-	const sessions, per = 40, 4
-	st, _, err := Serve(Config{
-		Mode:               VMPerRequest,
-		Seed:               1,
-		Arrivals:           NewPoisson(2, 20),
-		Requests:           sessions,
-		RequestsPerSession: per,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Arrived != sessions*per || st.Served != sessions*per {
-		t.Fatalf("arrived %d served %d, want %d both", st.Arrived, st.Served, sessions*per)
-	}
-	if st.AppCalls != sessions*per {
-		t.Fatalf("app answered %d calls, want %d", st.AppCalls, sessions*per)
-	}
-	// Follow-ups skip the boot: the p50 is the cheap in-session path,
-	// far below the session-opening boot latency.
-	if st.Latency.P50() >= st.Latency.Quantile(90) {
-		t.Fatalf("p50 %v not below p90 %v: session follow-ups should dominate the cheap side",
-			st.Latency.P50(), st.Latency.Quantile(90))
-	}
-}
-
 // TestServeRejectTyped: the Reject error is typed, unwraps its cause,
 // and prints both reasons.
 func TestServeRejectTyped(t *testing.T) {

@@ -79,14 +79,6 @@ func (s *Store) SetVariant(v Variant) { s.variant = v }
 // VariantName reports the active implementation.
 func (s *Store) VariantName() string { return s.variant.String() }
 
-// variantFactor is the cost multiplier of the active implementation.
-func (s *Store) variantFactor() sim.Duration {
-	if s.variant == Cxenstored {
-		return cxenstoredFactor
-	}
-	return 1
-}
-
 // SetNodeQuota sets the per-domain node limit (0 disables checks).
 func (s *Store) SetNodeQuota(limit int) { s.nodeQuota = limit }
 

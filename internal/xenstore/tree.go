@@ -461,7 +461,3 @@ func appendChildren(a *amtNode, dst []*node) []*node {
 	}
 	return dst
 }
-
-// countNodes reports the subtree size (kept for readability at call
-// sites; O(1) thanks to the size field).
-func countNodes(n *node) int { return n.size }

@@ -71,8 +71,8 @@ type (
 	// least-loaded placement, handover migrations, heartbeat-detected
 	// failover, and an optional fault plane. RunChurn drives it.
 	Cluster = cluster.Sharded
-	// ClusterConfig sizes a Cluster (hardware, engine workers, seed,
-	// detection timeout, fault plan).
+	// ClusterConfig sizes a Cluster (per-host hardware, engine workers,
+	// seed, heartbeat period, detection timeout, fault plan).
 	ClusterConfig = cluster.ShardedConfig
 	// HostPool is one homogeneous slice of a Cluster's hosts.
 	HostPool = cluster.HostPool
@@ -403,8 +403,10 @@ func RunExperimentsOpts(ids []string, o ExperimentOptions) ([]ExperimentResult, 
 // seeded arrival processes drive one host with per-request guests.
 
 type (
-	// TrafficConfig parameterizes one open-loop serving run (mode,
-	// arrival process, admission limits, autoscaler policy).
+	// TrafficConfig parameterizes one open-loop serving run of Daytime
+	// guests on an 8-core/32GB host: mode, seed, arrival process and
+	// count, admission backlog and client deadline, autoscaler policy,
+	// fault plan, overload defenses, retry backoff, accounting phases.
 	TrafficConfig = traffic.Config
 	// TrafficStats is a run's outcome: latency histogram, timeout and
 	// rejection counters, warm-shell trajectory.
@@ -438,7 +440,8 @@ type (
 	// allocation-free gap generation on the virtual clock.
 	Arrivals = traffic.Arrivals
 	// AutoscalerConfig tunes the warm-pool autoscaler (policy, depth
-	// bounds, prediction horizon).
+	// bounds, prediction horizon; the predictive headroom and EWMA
+	// weight are fixed).
 	AutoscalerConfig = toolstack.AutoscalerConfig
 )
 
