@@ -39,12 +39,13 @@ race:
 
 # 20-second smoke of each fuzz target (native Go fuzzing, seeded by
 # the checked-in corpora under each package's testdata/fuzz plus the
-# f.Add seeds): the xenstore path and snapshot codecs, and the
-# checkpoint wire decoder.
+# f.Add seeds): the xenstore path and snapshot codecs, the checkpoint
+# wire decoder, and the pprof profile decoder.
 fuzz-smoke:
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzPath$$' -fuzztime 20s
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/migrate -run '^$$' -fuzz '^FuzzUnmarshalCheckpoint$$' -fuzztime 20s
+	$(GO) test ./internal/profiling -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s
 
 # Line-coverage gate for the store: the unit suite plus the
 # model-checking harness must keep internal/xenstore at or above 80%.

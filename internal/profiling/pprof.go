@@ -359,7 +359,9 @@ func walkFields(buf []byte, fn func(field int, v uint64, msg []byte) error) erro
 			pos += 8
 		case 2: // length-delimited
 			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 || pos+n+int(l) > len(buf) {
+			// Compare in uint64: a length ≥ 2⁶³ would turn negative as
+			// an int and slip past the bound.
+			if n <= 0 || l > uint64(len(buf)-pos-n) {
 				return fmt.Errorf("bad length in field %d", field)
 			}
 			pos += n

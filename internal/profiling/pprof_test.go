@@ -154,7 +154,7 @@ func (b *protoBuf) uvarint(v uint64) {
 
 // buildTestProfile encodes a one-sample profile by hand, using packed
 // repeated fields for the sample (as runtime/pprof does) and a label.
-func buildTestProfile(t *testing.T) []byte {
+func buildTestProfile(t testing.TB) []byte {
 	t.Helper()
 	var p protoBuf
 	// string_table: index 0 must be "".
@@ -232,6 +232,11 @@ func TestParseErrors(t *testing.T) {
 	// Wire type 2 with a length past the buffer end.
 	if _, err := Parse([]byte{0x12, 0x7f, 0x01}); err == nil {
 		t.Fatal("truncated message accepted")
+	}
+	// Wire type 2 with a length ≥ 2⁶³, which turns negative as an int
+	// (found by FuzzParse; it used to panic slicing the buffer).
+	if _, err := Parse([]byte("\xb20\xd9\U00032bed\x8fײ\xab\x010")); err == nil {
+		t.Fatal("huge length accepted")
 	}
 }
 

@@ -119,6 +119,34 @@ func (c *Clock) Sleep(d Duration) {
 	c.AdvanceTo(c.now.Add(d))
 }
 
+// SleepN is exactly n calls of Sleep(d): the same final time, and every
+// event fires at the same instant, even when a callback itself sleeps
+// or schedules. Steps that end before the next queued event fire
+// nothing, so they are taken in one jump; only a step that reaches an
+// event runs as a real Sleep. Linear costs (one charge per scanned
+// entry) thereby cost O(events in the window) instead of O(n).
+func (c *Clock) SleepN(n int, d Duration) {
+	if d <= 0 {
+		return
+	}
+	for n > 0 {
+		k := n
+		if len(c.queue) > 0 {
+			// A step from t fires the events at or before t+d, so the
+			// quiet steps are those ending strictly before the next one.
+			if quiet := (c.queue[0].at - c.now - 1) / Time(d); quiet < Time(k) {
+				k = int(max(quiet, 0))
+			}
+		}
+		c.now += Time(k) * Time(d)
+		n -= k
+		if n > 0 {
+			c.Sleep(d)
+			n--
+		}
+	}
+}
+
 // AdvanceTo moves the clock forward to t (no-op if t is in the past),
 // running every scheduled event whose deadline is ≤ t in timestamp
 // order. Events may schedule further events; those are honoured if

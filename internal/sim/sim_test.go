@@ -251,6 +251,71 @@ func TestAdvanceSplitEquivalence(t *testing.T) {
 	}
 }
 
+// Property: SleepN(n, d) is n calls of Sleep(d). Events fall before,
+// inside, on the edges of and beyond the window; some callbacks sleep
+// (pushing the clock past a step's end) and schedule follow-up events
+// that may land inside the window too. Both clocks must end at the same
+// time having fired the same events at the same instants.
+func TestSleepNEquivalence(t *testing.T) {
+	type spec struct {
+		at    Time
+		sleep Duration // slept by the callback
+		then  Duration // >0: the callback schedules a follow-up this far ahead
+	}
+	type firing struct {
+		id int
+		at Time
+	}
+	install := func(c *Clock, specs []spec, log *[]firing) {
+		for id, sp := range specs {
+			c.Schedule(sp.at, func() {
+				*log = append(*log, firing{id, c.Now()})
+				c.Sleep(sp.sleep)
+				if sp.then > 0 {
+					c.After(sp.then, func() { *log = append(*log, firing{-id - 1, c.Now()}) })
+				}
+			})
+		}
+	}
+	rng := NewRNG(42)
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(40)
+		d := Duration(rng.Intn(12) - 1) // includes 0 and a negative step
+		start := Time(rng.Intn(30))
+		window := int(start) + n*int(max(d, 1)) + 2
+		specs := make([]spec, rng.Intn(8))
+		for i := range specs {
+			specs[i].at = Time(rng.Intn(2 * window))
+			if rng.Intn(2) == 0 {
+				specs[i].sleep = Duration(rng.Intn(3 * int(max(d, 1))))
+			}
+			if rng.Intn(2) == 0 {
+				specs[i].then = Duration(1 + rng.Intn(window))
+			}
+		}
+		c1, c2 := NewClock(), NewClock()
+		c1.AdvanceTo(start)
+		c2.AdvanceTo(start)
+		var log1, log2 []firing
+		install(c1, specs, &log1)
+		install(c2, specs, &log2)
+		c1.SleepN(n, d)
+		for i := 0; i < n; i++ {
+			c2.Sleep(d)
+		}
+		if c1.Now() != c2.Now() || c1.Pending() != c2.Pending() || len(log1) != len(log2) {
+			t.Fatalf("trial %d (n=%d d=%v start=%v specs=%+v): SleepN at %v fired %v; Sleep×n at %v fired %v",
+				trial, n, d, start, specs, c1.Now(), log1, c2.Now(), log2)
+		}
+		for i := range log1 {
+			if log1[i] != log2[i] {
+				t.Fatalf("trial %d (n=%d d=%v specs=%+v): firing %d differs: SleepN %v, Sleep×n %v",
+					trial, n, d, specs, i, log1, log2)
+			}
+		}
+	}
+}
+
 // Property: Time.Add/Sub round-trips.
 func TestTimeAddSubRoundTrip(t *testing.T) {
 	f := func(base int64, d int32) bool {

@@ -48,11 +48,9 @@ func BenchmarkRead(b *testing.B) {
 
 func BenchmarkDirectory(b *testing.B) {
 	s := benchStore(b)
-	var buf []string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if buf, err = s.DirectoryAppend("/local/domain", buf); err != nil {
+		if _, err := s.Directory("/local/domain"); err != nil {
 			b.Fatal(err)
 		}
 	}

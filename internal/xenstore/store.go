@@ -529,17 +529,36 @@ func (s *Store) Mkdir(path string) {
 // touches every child — this is one of the O(#guests) costs on the
 // creation path when listing /local/domain.
 func (s *Store) Directory(path string) ([]string, error) {
-	return s.DirectoryAppend(path, nil)
-}
-
-// DirectoryAppend is Directory appending into buf (sliced to zero
-// length first). Callers that list repeatedly — the toolstack lists
-// /local/domain on every creation — pass the previous result back in
-// so the listing reuses one buffer instead of allocating O(#guests)
-// per operation.
-func (s *Store) DirectoryAppend(path string, buf []string) ([]string, error) {
 	s.enter()
 	defer s.exit()
+	n, err := s.listed(path)
+	if err != nil {
+		return nil, err
+	}
+	out := appendChildNames(n.kids, make([]string, 0, n.nkids))
+	sort.Strings(out)
+	return out, nil
+}
+
+// DirectoryLen is Directory returning only the child count: the same
+// op, charge and end-of-charge view, without building or sorting the
+// listing. The toolstack lists /local/domain on every creation and
+// looks at nothing but its size.
+func (s *Store) DirectoryLen(path string) (int, error) {
+	s.enter()
+	defer s.exit()
+	n, err := s.listed(path)
+	if err != nil {
+		return 0, err
+	}
+	return n.nkids, nil
+}
+
+// listed runs a directory listing op on path, charged for the walk
+// plus one touch per child, and returns the directory as of the end of
+// the charge, like Read (the cost was fixed at op start). The caller
+// holds enter.
+func (s *Store) listed(path string) (*node, error) {
 	n, touched := s.resolve(path)
 	if n == nil {
 		s.chargeOp(touched)
@@ -547,21 +566,16 @@ func (s *Store) DirectoryAppend(path string, buf []string) ([]string, error) {
 	}
 	pubs := s.pubs
 	s.chargeOp(touched + n.nkids)
-	// Like Read, the listing reflects children as of the end of the
-	// charge (the cost was fixed at op start).
 	if s.pubs != pubs {
 		if cur, _ := s.resolve(path); cur != nil {
 			n = cur
 		}
 	}
-	out := appendChildNames(n.kids, buf[:0])
-	sort.Strings(out)
-	return out, nil
+	return n, nil
 }
 
 // appendChildNames collects a trie's entry names into buf. It is a
-// plain function (no closure) so a warm buffer makes the listing
-// allocation-free.
+// plain function (no closure), so a listing allocates only its result.
 func appendChildNames(a *amtNode, buf []string) []string {
 	if a == nil {
 		return buf
@@ -672,15 +686,11 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 	s.Count.UniqScans++
 	n, _ := s.resolve(dir)
 	if n != nil {
-		dup := false
-		n.eachChild(func(child *node) bool {
-			s.clock.Sleep(costs.XSNameUniquenessPerGuest)
-			if child.value == name {
-				dup = true
-				return false
-			}
-			return true
-		})
+		// The comparisons run up front; the per-name charge then falls
+		// as one batch. Clock callbacks during the charge see the same
+		// instants, and the scan the same snapshot, as interleaving them.
+		visited, dup := amtFindValue(n.kids, name)
+		s.clock.SleepN(visited, costs.XSNameUniquenessPerGuest)
 		if dup {
 			s.chargeOp(n.nkids)
 			return fmt.Errorf("%w: name %q", ErrExists, name)
@@ -693,4 +703,36 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 	}
 	s.WriteAs(0, dir+"/"+key, name)
 	return nil
+}
+
+// amtFindValue compares name against a trie's entry values in trie
+// order, stopping at the first match. It reports how many entries were
+// compared, the match included.
+func amtFindValue(a *amtNode, name string) (visited int, found bool) {
+	if a == nil {
+		return 0, false
+	}
+	for _, s := range a.slots {
+		switch e := s.(type) {
+		case *node:
+			visited++
+			if e.value == name {
+				return visited, true
+			}
+		case *amtNode:
+			v, ok := amtFindValue(e, name)
+			visited += v
+			if ok {
+				return visited, true
+			}
+		case *amtCollision:
+			for _, n := range e.entries {
+				visited++
+				if n.value == name {
+					return visited, true
+				}
+			}
+		}
+	}
+	return visited, false
 }

@@ -436,6 +436,120 @@ func TestUniqueNameChargesSuccessScan(t *testing.T) {
 	}
 }
 
+// refWriteUniqueName is WriteUniqueName as it was first written: one
+// clock Sleep per compared name, interleaved with the comparisons. It
+// is the reference the batched charge must match exactly.
+func refWriteUniqueName(s *Store, dir, key, name string) error {
+	s.enter()
+	defer s.exit()
+	s.Count.UniqScans++
+	n, _ := s.resolve(dir)
+	if n != nil {
+		dup := false
+		n.eachChild(func(child *node) bool {
+			s.clock.Sleep(costs.XSNameUniquenessPerGuest)
+			if child.value == name {
+				dup = true
+				return false
+			}
+			return true
+		})
+		s.chargeOp(n.nkids)
+		if dup {
+			return fmt.Errorf("%w: name %q", ErrExists, name)
+		}
+	}
+	s.WriteAs(0, dir+"/"+key, name)
+	return nil
+}
+
+// TestListingAndUniqueScanChargesExact pins the two O(#guests) store
+// charges on the xl create path to the op they replace, to the
+// nanosecond and the counter: the count-only listing against the full
+// listing, and the batched name-scan charge against one Sleep per
+// name. Each pair of twin stores also carries a clock event inside the
+// charge window that re-enters the store, so end-of-charge views and
+// mid-scan firing instants are compared too.
+func TestListingAndUniqueScanChargesExact(t *testing.T) {
+	const guests = 300
+	twin := func() (*Store, *sim.Clock) {
+		s, c := newStore()
+		for i := 0; i < guests; i++ {
+			s.Write(fmt.Sprintf("/local/domain/%d/name", i), fmt.Sprintf("g%d", i))
+			s.Write(fmt.Sprintf("/vm/names/%d", i), fmt.Sprintf("g%d", i))
+		}
+		return s, c
+	}
+	// midWindow schedules a store write (itself a charged op) to land
+	// inside the next op's charge, and records when it fired.
+	midWindow := func(s *Store, c *sim.Clock, after sim.Duration, at *sim.Time) {
+		c.After(after, func() {
+			*at = c.Now()
+			s.Write("/local/domain/9999/name", "late")
+		})
+	}
+
+	t.Run("DirectoryLen", func(t *testing.T) {
+		s1, c1 := twin()
+		s2, c2 := twin()
+		var at1, at2 sim.Time
+		midWindow(s1, c1, costs.XSProcess, &at1)
+		midWindow(s2, c2, costs.XSProcess, &at2)
+		names, err := s1.Directory("/local/domain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := s2.DirectoryLen("/local/domain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(names) || n != guests+1 {
+			t.Fatalf("DirectoryLen = %d, len(Directory) = %d, want %d (the mid-charge write included)", n, len(names), guests+1)
+		}
+		if c1.Now() != c2.Now() || at1 != at2 || at1 == 0 || s1.Count != s2.Count {
+			t.Fatalf("charges differ: Directory at %v (event %v) %+v; DirectoryLen at %v (event %v) %+v",
+				c1.Now(), at1, s1.Count, c2.Now(), at2, s2.Count)
+		}
+		_, err1 := s1.Directory("/local/nope")
+		_, err2 := s2.DirectoryLen("/local/nope")
+		if !errors.Is(err2, ErrNoEnt) || !errors.Is(err1, ErrNoEnt) {
+			t.Fatalf("missing path: Directory %v, DirectoryLen %v, want ErrNoEnt", err1, err2)
+		}
+		if c1.Now() != c2.Now() || s1.Count != s2.Count {
+			t.Fatalf("missing-path charges differ: %v %+v vs %v %+v", c1.Now(), s1.Count, c2.Now(), s2.Count)
+		}
+	})
+
+	// The duplicate sits midway through the scan in trie order, so the
+	// event fires between comparisons on both paths.
+	probe, _ := twin()
+	dir, _ := probe.resolve("/vm/names")
+	midway := appendChildren(dir.kids, nil)[guests/2].value
+	for _, tc := range []struct{ name, guest string }{
+		{"unique", "g-new"},
+		{"duplicate", midway},
+	} {
+		t.Run("WriteUniqueName/"+tc.name, func(t *testing.T) {
+			s1, c1 := twin()
+			s2, c2 := twin()
+			var at1, at2 sim.Time
+			after := 3*costs.XSNameUniquenessPerGuest + 1
+			midWindow(s1, c1, after, &at1)
+			midWindow(s2, c2, after, &at2)
+			start := c2.Now()
+			err1 := refWriteUniqueName(s1, "/vm/names", "new", tc.guest)
+			err2 := s2.WriteUniqueName("/vm/names", "new", tc.guest)
+			if (err1 == nil) != (err2 == nil) || (tc.name == "duplicate") != errors.Is(err2, ErrExists) {
+				t.Fatalf("reference %v, batched %v", err1, err2)
+			}
+			if c1.Now() != c2.Now() || at1 != at2 || at1 != start.Add(after) || s1.Count != s2.Count {
+				t.Fatalf("charges differ: per-name Sleep at %v (event %v) %+v; SleepN at %v (event %v) %+v",
+					c1.Now(), at1, s1.Count, c2.Now(), at2, s2.Count)
+			}
+		})
+	}
+}
+
 func TestWatchCostGrowsWithWatches(t *testing.T) {
 	s, c := newStore()
 	s.Write("/warm", "up")
