@@ -40,12 +40,17 @@ race:
 # 20-second smoke of each fuzz target (native Go fuzzing, seeded by
 # the checked-in corpora under each package's testdata/fuzz plus the
 # f.Add seeds): the xenstore path and snapshot codecs, the checkpoint
-# wire decoder, and the pprof profile decoder.
+# wire decoder, the pprof profile decoder, the guest config parser, the
+# firewall's CIDR parser, and the minipy interpreter under a step
+# budget.
 fuzz-smoke:
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzPath$$' -fuzztime 20s
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/migrate -run '^$$' -fuzz '^FuzzUnmarshalCheckpoint$$' -fuzztime 20s
 	$(GO) test ./internal/profiling -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s
+	$(GO) test ./internal/toolstack -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 20s
+	$(GO) test ./internal/apps -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime 20s
+	$(GO) test ./internal/minipy -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 20s
 
 # Line-coverage gate for the store: the unit suite plus the
 # model-checking harness must keep internal/xenstore at or above 80%.

@@ -8,6 +8,7 @@ import (
 	"lightvm/internal/hv"
 	"lightvm/internal/sim"
 	"lightvm/internal/toolstack"
+	"lightvm/internal/xenbus"
 )
 
 func TestCorruptCheckpointBlobIsTyped(t *testing.T) {
@@ -204,4 +205,61 @@ func TestMigrationRollbackKeepsSourceUsable(t *testing.T) {
 		t.Fatalf("destroy after recovered migration: %v", err)
 	}
 	_ = drv
+}
+
+// A restore or migration whose destination fails mid-pre-creation (every
+// backend handshake lost) must unwind exactly like a failed create: no
+// registry subtree, backend dir or domain left behind, and Fsck clean.
+func TestFailedPreCreationLeavesNoState(t *testing.T) {
+	stall := func(clock *sim.Clock) *faults.Injector {
+		return faults.New(clock, 3, faults.Plan{Rate: 1, Kinds: []faults.Kind{faults.KindHandshakeStall}})
+	}
+	clean := func(t *testing.T, e *toolstack.Env, nodes, doms int) {
+		t.Helper()
+		if v := toolstack.Fsck(e); len(v) != 0 {
+			t.Fatalf("fsck after failed pre-creation: %v", v)
+		}
+		// At most as many: on xl the rollback also reaps the /vm/<name>
+		// tree a Save leaves behind.
+		if got := e.Store.NumNodes(); got > nodes {
+			t.Fatalf("store grew from %d to %d nodes across the failure", nodes, got)
+		}
+		if got := e.HV.NumDomains(); got != doms {
+			t.Fatalf("%d domains after the failure, want %d", got, doms)
+		}
+		if e.VMs() != 0 {
+			t.Fatal("failed pre-creation left a tracked VM")
+		}
+	}
+	for _, mode := range []toolstack.Mode{toolstack.ModeXL, toolstack.ModeChaosXS} {
+		t.Run(mode.String()+"/restore", func(t *testing.T) {
+			clock := sim.NewClock()
+			e := newEnv(clock)
+			vm, _ := createVM(t, e, mode, "rs")
+			cp, _, err := Save(e, vm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, doms := e.Store.NumNodes(), e.HV.NumDomains()
+			e.SetFaults(stall(clock))
+			if _, _, err := Restore(e, cp); !errors.Is(err, xenbus.ErrDeviceTimeout) {
+				t.Fatalf("restore with every handshake lost: %v, want ErrDeviceTimeout", err)
+			}
+			clean(t, e, nodes, doms)
+		})
+		t.Run(mode.String()+"/migrate", func(t *testing.T) {
+			clock := sim.NewClock()
+			src, dst := newEnv(clock), newEnv(clock)
+			vm, _ := createVM(t, src, mode, "mg")
+			nodes, doms := dst.Store.NumNodes(), dst.HV.NumDomains()
+			dst.SetFaults(stall(clock))
+			if _, _, err := Migrate(src, dst, vm); !errors.Is(err, xenbus.ErrDeviceTimeout) {
+				t.Fatalf("migration with every handshake lost: %v, want ErrDeviceTimeout", err)
+			}
+			clean(t, dst, nodes, doms)
+			if back, err := src.VM("mg"); err != nil || !back.Booted {
+				t.Fatalf("source VM not left running: %v", err)
+			}
+		})
+	}
 }

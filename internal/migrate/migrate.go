@@ -21,7 +21,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"path"
 	"strconv"
 	"time"
 
@@ -337,7 +336,7 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 				return
 			}
 		}
-		retErr = recreateDevices(e, vm)
+		retErr = e.AttachDevices(dom.ID, vm.Mode.UsesStore(), vm.Image.Devices)
 		if retErr != nil {
 			return
 		}
@@ -345,48 +344,15 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 		retErr = e.HV.Unpause(dom.ID)
 	})
 	if retErr != nil {
-		e.Forget(vm)
-		if vm.Dom != nil {
-			_ = e.HV.DestroyDomain(vm.Dom.ID)
-		}
-		return nil, 0, retErr
+		return nil, 0, e.AbortCreate(vm, retErr)
 	}
 	// Guest side: reconnect frontends (no OS boot — state is resumed).
-	if err := reconnect(e, vm); err != nil {
+	if err := e.BootResumed(vm); err != nil {
 		return nil, 0, err
 	}
 	restoreTime := time.Duration(e.Clock.Now().Sub(start))
 	e.Trace.Emit("migrate", "restore", vm.Name, "mode="+vm.Mode.String(), restoreTime)
 	return vm, restoreTime, nil
-}
-
-// recreateDevices rebuilds the devices on the restore/migration target.
-func recreateDevices(e *toolstack.Env, vm *toolstack.VM) error {
-	if vm.Mode.UsesStore() {
-		for i, dev := range vm.Image.Devices {
-			req := struct {
-				Kind hv.DevKind
-				MAC  string
-			}{dev.Kind, dev.MAC}
-			if err := writeStoreDevice(e, vm, i, req.Kind, req.MAC); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, dev := range vm.Image.Devices {
-		if _, err := e.Noxs.CreateDevice(vm.Dom.ID, dev.Kind, i, dev.MAC); err != nil {
-			return err
-		}
-	}
-	_, err := e.Noxs.CreateDevice(vm.Dom.ID, hv.DevSysctl, 0, "")
-	return err
-}
-
-// reconnect performs the guest-side frontend reattach after resume and
-// re-registers the guest's load.
-func reconnect(e *toolstack.Env, vm *toolstack.VM) error {
-	return e.BootResumed(vm)
 }
 
 // StreamCost is the control-network time to ship a checkpoint between
@@ -444,14 +410,10 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 			preErr = err
 			return
 		}
-		preErr = recreateDevices(dst, newVM)
+		preErr = dst.AttachDevices(dom.ID, vm.Mode.UsesStore(), vm.Image.Devices)
 	})
 	if preErr != nil {
-		dst.Forget(newVM)
-		if newVM.Dom != nil {
-			_ = dst.HV.DestroyDomain(newVM.Dom.ID)
-		}
-		return nil, 0, preErr
+		return nil, 0, dst.AbortCreate(newVM, preErr)
 	}
 
 	// 2. Suspend the source guest.
@@ -527,28 +489,7 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 // back.
 func rollback(src, dst *toolstack.Env, vm, newVM *toolstack.VM) {
 	dst.RunDom0(func() {
-		if newVM.Mode.UsesStore() {
-			for i, dev := range newVM.Image.Devices {
-				switch dev.Kind {
-				case hv.DevVif:
-					dst.BackVif.Teardown(newVM.Dom.ID, i)
-				case hv.DevVbd:
-					dst.BackVbd.Teardown(newVM.Dom.ID, i)
-				case hv.DevConsole:
-					dst.BackConsole.Teardown(newVM.Dom.ID, i)
-				}
-				xenbus.RemoveDeviceEntries(dst.Store, newVM.Dom.ID, dev.Kind, i)
-			}
-			// Also reap the per-domain backend parents, so the store is
-			// exactly as it was before the aborted pre-creation.
-			for i, dev := range newVM.Image.Devices {
-				_ = dst.Store.Rm(path.Dir(xenbus.BackendPath(newVM.Dom.ID, dev.Kind, i)))
-			}
-			_ = dst.Store.Rm(xenbus.DomainPath(newVM.Dom.ID))
-		} else {
-			dst.Noxs.DestroyAll(newVM.Dom.ID)
-		}
-		_ = dst.HV.DestroyDomain(newVM.Dom.ID)
+		_ = dst.DiscardShell(newVM.Dom.ID, newVM.Mode.UsesStore(), newVM.Image.Devices)
 	})
 	dst.Forget(newVM)
 	src.RunDom0(func() {
@@ -556,12 +497,6 @@ func rollback(src, dst *toolstack.Env, vm, newVM *toolstack.VM) {
 		_ = src.HV.Unpause(vm.Dom.ID)
 	})
 	src.Trace.Emit("migrate", "rollback", vm.Name, "mode="+vm.Mode.String(), 0)
-}
-
-// writeStoreDevice writes the device's store entries and completes the
-// backend handshake on the restore path.
-func writeStoreDevice(e *toolstack.Env, vm *toolstack.VM, idx int, kind hv.DevKind, mac string) error {
-	return e.StoreDeviceCreate(vm, idx, kind, mac)
 }
 
 // Marshal serializes the whole checkpoint (descriptor blob plus

@@ -107,12 +107,20 @@ func (returnSignal) Error() string   { return "return outside function" }
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
 
+// maxNest bounds every recursion a program controls: expression
+// nesting in the parser and the evaluator (which also bounds
+// user-function calls, each one an evaluation inside another), and the
+// container nesting print and == walk into. Deeper programs fail with
+// an error instead of overflowing the host's stack.
+const maxNest = 10_000
+
 // Interp executes a parsed program.
 type Interp struct {
 	globals map[string]Value
 	out     strings.Builder
 	fuel    int
 	steps   int
+	nest    int // expression evaluations in progress
 }
 
 // Result summarizes a program run.
@@ -150,6 +158,20 @@ func (in *Interp) tick() error {
 	if in.steps > in.fuel {
 		return ErrFuel
 	}
+	return nil
+}
+
+// charge bills size×count steps for building a value of that many
+// elements (or bytes) in one operation — a range, a repetition, a
+// concatenation, a join — so the step budget bounds the memory a
+// program can build, not only its running time.
+func (in *Interp) charge(size, count uint64) error {
+	left := uint64(in.fuel - in.steps)
+	if count != 0 && size > left/count {
+		in.steps = in.fuel + 1
+		return ErrFuel
+	}
+	in.steps += int(size * count)
 	return nil
 }
 
@@ -199,7 +221,7 @@ func (in *Interp) exec(s Node, env map[string]Value) error {
 			if err != nil {
 				return err
 			}
-			v, err = binop(st.AugOp, old, v)
+			v, err = in.binop(st.AugOp, old, v)
 			if err != nil {
 				return err
 			}
@@ -302,7 +324,21 @@ func (in *Interp) assign(target Node, v Value, env map[string]Value) error {
 	return rte("bad assignment target %T", target)
 }
 
+// eval evaluates x one level deeper than its caller. Left-deep chains
+// such as 1+1+...+1 build trees as deep as they are long, and a
+// recursive function nests a call per level, so the evaluator bounds
+// its own recursion.
 func (in *Interp) eval(x Node, env map[string]Value) (Value, error) {
+	if in.nest >= maxNest {
+		return nil, rte("maximum recursion depth exceeded")
+	}
+	in.nest++
+	v, err := in.evalNode(x, env)
+	in.nest--
+	return v, err
+}
+
+func (in *Interp) evalNode(x Node, env map[string]Value) (Value, error) {
 	if err := in.tick(); err != nil {
 		return nil, err
 	}
@@ -403,7 +439,7 @@ func (in *Interp) eval(x Node, env map[string]Value) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return binop(e.Op, l, r)
+		return in.binop(e.Op, l, r)
 	case *Call:
 		args := make([]Value, len(e.Args))
 		for i, a := range e.Args {
@@ -449,11 +485,16 @@ func (in *Interp) call(name string, args []Value, env map[string]Value) (Value, 
 func (in *Interp) builtin(name string, args []Value) (Value, error) {
 	switch name {
 	case "print":
-		parts := make([]string, len(args))
 		for i, a := range args {
-			parts[i] = Repr(a)
+			if i > 0 {
+				in.out.WriteByte(' ')
+			}
+			s, err := in.repr(a)
+			if err != nil {
+				return nil, err
+			}
+			in.out.WriteString(s)
 		}
-		in.out.WriteString(strings.Join(parts, " "))
 		in.out.WriteByte('\n')
 		return nil, nil
 	case "range":
@@ -482,15 +523,15 @@ func (in *Interp) builtin(name string, args []Value) (Value, error) {
 		default:
 			return nil, rte("range() takes 1-3 arguments")
 		}
-		l := &List{}
-		if step > 0 {
-			for i := start; i < stop; i += step {
-				l.Items = append(l.Items, i)
-			}
-		} else {
-			for i := start; i > stop; i += step {
-				l.Items = append(l.Items, i)
-			}
+		n := rangeLen(start, stop, step)
+		if err := in.charge(n, 1); err != nil {
+			return nil, err
+		}
+		l := &List{Items: make([]Value, n)}
+		for k := range l.Items {
+			// Wraps in the product but not in the sum: every element
+			// lies between start and stop.
+			l.Items[k] = start + int64(k)*step
 		}
 		return l, nil
 	case "len":
@@ -553,7 +594,7 @@ func (in *Interp) builtin(name string, args []Value) (Value, error) {
 		}
 		var acc Value = int64(0)
 		for _, it := range l.Items {
-			v, err := binop("+", acc, it)
+			v, err := in.binop("+", acc, it)
 			if err != nil {
 				return nil, err
 			}
@@ -603,7 +644,7 @@ func (in *Interp) builtin(name string, args []Value) (Value, error) {
 		if len(args) != 1 {
 			return nil, rte("str() takes 1 argument")
 		}
-		return Repr(args[0]), nil
+		return in.repr(args[0])
 	case "keys":
 		if len(args) != 1 {
 			return nil, rte("keys() takes 1 argument")
@@ -660,12 +701,17 @@ func (in *Interp) builtin(name string, args []Value) (Value, error) {
 			return nil, rte("join() of %s", typeName(args[1]))
 		}
 		parts := make([]string, len(l.Items))
+		size := uint64(len(sep)) * uint64(len(parts))
 		for i, it := range l.Items {
 			s, ok := it.(string)
 			if !ok {
 				return nil, rte("join() item %d is %s, not str", i, typeName(it))
 			}
 			parts[i] = s
+			size += uint64(len(s))
+		}
+		if err := in.charge(size, 1); err != nil {
+			return nil, err
 		}
 		return strings.Join(parts, sep), nil
 	case "upper", "lower":
@@ -787,55 +833,131 @@ func typeName(v Value) string {
 	return fmt.Sprintf("%T", v)
 }
 
-// Repr formats a value the way print() does.
+// Repr formats a value the way print() does. A container inside
+// itself renders as [...] or {...}, as in Python.
 func Repr(v Value) string {
+	w := reprWriter{limit: math.MaxInt}
+	w.value(v, false)
+	return w.b.String()
+}
+
+// repr is Repr under the step budget: the rendering is billed a step
+// per byte like any other built string, so a list that holds another
+// many times over (whose rendering doubles per level) fails with
+// ErrFuel instead of exhausting memory.
+func (in *Interp) repr(v Value) (string, error) {
+	w := reprWriter{limit: in.fuel - in.steps}
+	w.value(v, false)
+	if w.err != nil {
+		return "", w.err
+	}
+	if err := in.charge(uint64(w.b.Len()), 1); err != nil {
+		return "", err
+	}
+	return w.b.String(), nil
+}
+
+// reprWriter renders values, giving up once past limit bytes.
+type reprWriter struct {
+	b     strings.Builder
+	limit int
+	open  map[Value]bool // containers being rendered
+	err   error
+}
+
+func (w *reprWriter) write(s string) {
+	if !w.done() {
+		w.b.WriteString(s)
+	}
+}
+
+func (w *reprWriter) done() bool { return w.err != nil || w.b.Len() > w.limit }
+
+// enter opens container c for rendering. It reports false, having
+// written cycle, if c is already open; and false with an error past
+// maxNest.
+func (w *reprWriter) enter(c Value, cycle string) bool {
+	if w.open[c] {
+		w.write(cycle)
+		return false
+	}
+	if len(w.open) >= maxNest {
+		w.err = rte("maximum recursion depth exceeded in repr")
+		return false
+	}
+	if w.open == nil {
+		w.open = make(map[Value]bool)
+	}
+	w.open[c] = true
+	return true
+}
+
+// value writes v; quote marks a string shown inside a container.
+func (w *reprWriter) value(v Value, quote bool) {
 	switch x := v.(type) {
 	case nil:
-		return "None"
+		w.write("None")
 	case bool:
 		if x {
-			return "True"
+			w.write("True")
+		} else {
+			w.write("False")
 		}
-		return "False"
 	case int64:
-		return strconv.FormatInt(x, 10)
+		w.write(strconv.FormatInt(x, 10))
 	case float64:
 		s := strconv.FormatFloat(x, 'g', -1, 64)
 		if !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
-		return s
+		w.write(s)
 	case string:
-		return x
+		if quote {
+			w.write("'")
+			w.write(x)
+			w.write("'")
+		} else {
+			w.write(x)
+		}
 	case *List:
-		parts := make([]string, len(x.Items))
+		if !w.enter(x, "[...]") {
+			return
+		}
+		w.write("[")
 		for i, it := range x.Items {
-			if s, ok := it.(string); ok {
-				parts[i] = "'" + s + "'"
-			} else {
-				parts[i] = Repr(it)
+			if i > 0 {
+				w.write(", ")
 			}
+			if w.done() {
+				break
+			}
+			w.value(it, true)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		w.write("]")
+		delete(w.open, x)
 	case *Dict:
-		parts := make([]string, len(x.keys))
-		for i := range x.keys {
-			k, v := x.keys[i], x.vals[i]
-			ks := Repr(k)
-			if s, ok := k.(string); ok {
-				ks = "'" + s + "'"
-			}
-			vs := Repr(v)
-			if s, ok := v.(string); ok {
-				vs = "'" + s + "'"
-			}
-			parts[i] = ks + ": " + vs
+		if !w.enter(x, "{...}") {
+			return
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		w.write("{")
+		for i := range x.keys {
+			if i > 0 {
+				w.write(", ")
+			}
+			if w.done() {
+				break
+			}
+			w.value(x.keys[i], true)
+			w.write(": ")
+			w.value(x.vals[i], true)
+		}
+		w.write("}")
+		delete(w.open, x)
 	case *Function:
-		return "<function " + x.Name + ">"
+		w.write("<function " + x.Name + ">")
+	default:
+		w.write(fmt.Sprint(v))
 	}
-	return fmt.Sprint(v)
 }
 
 func iterate(v Value) ([]Value, error) {
@@ -925,7 +1047,7 @@ func toFloat(v Value) (float64, bool) {
 	return 0, false
 }
 
-func binop(op string, l, r Value) (Value, error) {
+func (in *Interp) binop(op string, l, r Value) (Value, error) {
 	switch op {
 	case "in":
 		switch c := r.(type) {
@@ -975,12 +1097,18 @@ func binop(op string, l, r Value) (Value, error) {
 	case "+":
 		if ls, ok := l.(string); ok {
 			if rs, ok := r.(string); ok {
+				if err := in.charge(uint64(len(ls)+len(rs)), 1); err != nil {
+					return nil, err
+				}
 				return ls + rs, nil
 			}
 			return nil, rte("cannot concatenate str and %s", typeName(r))
 		}
 		if ll, ok := l.(*List); ok {
 			if rl, ok := r.(*List); ok {
+				if err := in.charge(uint64(len(ll.Items)+len(rl.Items)), 1); err != nil {
+					return nil, err
+				}
 				out := &List{Items: append(append([]Value{}, ll.Items...), rl.Items...)}
 				return out, nil
 			}
@@ -989,6 +1117,12 @@ func binop(op string, l, r Value) (Value, error) {
 	case "*":
 		if ls, ok := l.(string); ok {
 			if ri, ok := r.(int64); ok {
+				if ri <= 0 {
+					return "", nil // as in Python: 'ab' * -1 == ''
+				}
+				if err := in.charge(uint64(len(ls)), uint64(ri)); err != nil {
+					return nil, err
+				}
 				return strings.Repeat(ls, int(ri)), nil
 			}
 		}
@@ -1066,7 +1200,13 @@ func binop(op string, l, r Value) (Value, error) {
 	return nil, rte("unsupported operand types for %s: %s and %s", op, typeName(l), typeName(r))
 }
 
-func equals(l, r Value) (bool, error) {
+func equals(l, r Value) (bool, error) { return equalsAt(l, r, 0) }
+
+// equalsAt is equals for values nested depth lists deep. A list equals
+// itself without a walk, as in Python, so a list holding itself
+// compares equal to itself; two distinct self-holding lists hit the
+// depth bound instead of recursing forever.
+func equalsAt(l, r Value, depth int) (bool, error) {
 	lf, lok := toFloat(l)
 	rf, rok := toFloat(r)
 	if lok && rok {
@@ -1084,8 +1224,14 @@ func equals(l, r Value) (bool, error) {
 		if !ok2 || len(ll.Items) != len(rl.Items) {
 			return false, nil
 		}
+		if ll == rl {
+			return true, nil
+		}
+		if depth >= maxNest {
+			return false, rte("maximum recursion depth exceeded in comparison")
+		}
 		for i := range ll.Items {
-			eq, err := equals(ll.Items[i], rl.Items[i])
+			eq, err := equalsAt(ll.Items[i], rl.Items[i], depth+1)
 			if err != nil || !eq {
 				return eq, err
 			}
@@ -1093,6 +1239,18 @@ func equals(l, r Value) (bool, error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// rangeLen is the number of elements range(start, stop, step) yields,
+// computed without overflow for any int64 bounds (step != 0).
+func rangeLen(start, stop, step int64) uint64 {
+	switch {
+	case step > 0 && start < stop:
+		return (uint64(stop)-uint64(start)-1)/uint64(step) + 1
+	case step < 0 && start > stop:
+		return (uint64(start)-uint64(stop)-1)/(-uint64(step)) + 1
+	}
+	return 0
 }
 
 func floorDivInt(a, b int64) int64 {

@@ -554,3 +554,63 @@ print(join(',', sorted(keys(counts))))
 		t.Fatalf("wordfreq:\n%q\nwant\n%q", res.Output, want)
 	}
 }
+
+// Hostile programs under the default budget: each must end in output
+// or a typed error. Every one of them killed the host process before
+// (a panic, a stack overflow, or an allocation past the machine's
+// memory), where a step budget cannot help because one step built the
+// whole value or recursed without end.
+func TestHostileProgramsFailCleanly(t *testing.T) {
+	outputs := map[string]string{
+		"print('ab' * -1)":                                                                 "\n",
+		"x = [1]\nappend(x, x)\nprint(x)":                                                  "[1, [...]]\n",
+		"x = [1]\nappend(x, x)\nprint(x == x)":                                             "True\n",
+		"d = {}\nd['me'] = d\nprint(str(d))":                                               "{'me': {...}}\n",
+		"print(len(range(9223372036854775800, 9223372036854775807, 100)))":                 "1\n",
+		"print(range(-9223372036854775807 - 1, 9223372036854775807, 9223372036854775807))": "[-9223372036854775808, -1, 9223372036854775806]\n",
+	}
+	for src, want := range outputs {
+		if res := run(t, src); res.Output != want {
+			t.Errorf("%q printed %q, want %q", src, res.Output, want)
+		}
+	}
+	fuel := []string{
+		"print(len(range(10 ** 12)))",
+		"print(len('ab' * 10 ** 12))",
+		"s = 'ab'\nwhile True:\n    s = s + s\n",
+		"s = ['ab']\nwhile True:\n    s = s + s\n",
+		"s = 'ab'\nwhile True:\n    s = join('', [s, s])\n",
+		"x = [1]\nfor i in range(200):\n    x = [x, x]\nprint(x)",
+	}
+	for _, src := range fuel {
+		if err := mustFail(t, src); !errors.Is(err, ErrFuel) {
+			t.Errorf("%q: %v, want ErrFuel", src, err)
+		}
+	}
+	for _, src := range []string{
+		"def f(n):\n    return f(n + 1)\nprint(f(0))",
+		"a = [1]\nappend(a, a)\nb = [1]\nappend(b, b)\nprint(a == b)",
+		"x = [1]\nfor i in range(20000):\n    x = [x]\nprint(x)",
+		"print(1" + strings.Repeat(" + 1", 2*maxNest) + ")",
+	} {
+		var rt *RuntimeError
+		if err := mustFail(t, src); !errors.As(err, &rt) {
+			t.Errorf("%.60q: %v, want a RuntimeError", src, err)
+		}
+	}
+	n := 2 * maxNest
+	for _, src := range []string{
+		"print(" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ")",
+		"print(" + strings.Repeat("- ", n) + "1)",
+		"print(" + strings.Repeat("not ", n) + "1)",
+		"print(2" + strings.Repeat(" ** 2", n) + ")",
+	} {
+		var se *SyntaxError
+		if err := mustFail(t, src); !errors.As(err, &se) {
+			t.Errorf("%.60q: %v, want a SyntaxError", src, err)
+		}
+	}
+	if res := run(t, "print(1"+strings.Repeat(" + 1", 1000)+")"); res.Output != "1001\n" {
+		t.Errorf("a 1001-term sum printed %q", res.Output)
+	}
+}

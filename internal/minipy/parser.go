@@ -4,8 +4,21 @@ import "strconv"
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // expression nesting in progress
+}
+
+// enter opens one level of expression nesting: every recursive path
+// through the expression grammar passes unary or notExpr, so bounding
+// them bounds the parser's recursion, and a program nested past maxNest
+// is refused instead of overflowing the host's stack.
+func (p *parser) enter() error {
+	if p.depth >= maxNest {
+		return errf(p.cur().Line, "expression nested too deeply")
+	}
+	p.depth++
+	return nil
 }
 
 // Parse turns source into a list of top-level statements.
@@ -312,6 +325,10 @@ func (p *parser) andExpr() (Node, error) {
 }
 
 func (p *parser) notExpr() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	if p.at(TokKeyword, "not") {
 		p.next()
 		x, err := p.notExpr()
@@ -393,6 +410,10 @@ func (p *parser) mulExpr() (Node, error) {
 }
 
 func (p *parser) unary() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	if p.at(TokOp, "-") {
 		p.next()
 		x, err := p.unary()

@@ -1,14 +1,12 @@
 package toolstack
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/hv"
 	"lightvm/internal/xenbus"
-	"lightvm/internal/xenstore"
 )
 
 // CloneVM forks a running guest Potemkin/SnowFlock-style (related work
@@ -69,7 +67,7 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 			}
 		}
 		// Fresh devices: a clone must not share its parent's rings.
-		if vm.Mode.UsesStore() {
+		if us {
 			// The child inherits the parent's registry in one graft: an
 			// O(1) snapshot capture plus a single store op, instead of
 			// re-writing every entry. Device handshake state is then
@@ -86,31 +84,9 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 				return
 			}
 			e.Store.Write(fmt.Sprintf("/local/domain/%d/name", dom.ID), name)
-			for i, dev := range img.Devices {
-				req := xenbus.DeviceReq{Kind: dev.Kind, Dom: dom.ID, Idx: i, MAC: dev.MAC}
-				if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-					xenbus.WriteDeviceEntries(tx, req)
-					return nil
-				}); err != nil {
-					retErr = err
-					return
-				}
-				if err := xenbus.WaitBackendReady(e.Store, e.Clock, dom.ID, dev.Kind, i); err != nil {
-					retErr = err
-					return
-				}
-			}
-		} else {
-			for i, dev := range img.Devices {
-				if _, err := e.Noxs.CreateDevice(dom.ID, dev.Kind, i, dev.MAC); err != nil {
-					retErr = err
-					return
-				}
-			}
-			if _, err := e.Noxs.CreateDevice(dom.ID, hv.DevSysctl, 0, ""); err != nil {
-				retErr = err
-				return
-			}
+		}
+		if retErr = e.AttachDevices(dom.ID, us, img.Devices); retErr != nil {
+			return
 		}
 		if retErr = e.crashPoint("clone.devices"); retErr != nil {
 			return
@@ -122,16 +98,7 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 		retErr = e.crashPoint("clone.finalize")
 	})
 	if retErr != nil {
-		e.forget(vm)
-		if errors.Is(retErr, ErrToolstackCrash) {
-			// Process died mid-clone: partial state stays for recovery.
-			return nil, retErr
-		}
-		if vm.Dom != nil {
-			retErr = e.rollbackDomain(retErr, us, name, vm.Dom.ID)
-		}
-		e.journalClear(us, name)
-		return nil, retErr
+		return nil, e.AbortCreate(vm, retErr)
 	}
 	e.journalClear(us, name)
 	if err := e.BootResumed(vm); err != nil {

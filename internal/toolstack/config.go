@@ -2,6 +2,7 @@ package toolstack
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -172,6 +173,9 @@ func (cfg VMConfig) ResolveImage() (guest.Image, error) {
 		return guest.Image{}, err
 	}
 	if cfg.MemoryMB > 0 {
+		if uint64(cfg.MemoryMB) > math.MaxUint64>>20 {
+			return guest.Image{}, fmt.Errorf("toolstack: memory %d MB overflows a byte count", cfg.MemoryMB)
+		}
 		img.MemBytes = uint64(cfg.MemoryMB) << 20
 	}
 	for i, mac := range cfg.VIFMACs {

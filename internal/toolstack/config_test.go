@@ -109,6 +109,13 @@ func TestResolveImage(t *testing.T) {
 	if img.Devices[0].MAC != "00:16:3e:00:00:07" {
 		t.Fatalf("mac override lost: %q", img.Devices[0].MAC)
 	}
+	// A size whose byte count overflows is refused, not wrapped: 2^44 MB
+	// would otherwise resolve to 0 bytes.
+	big := cfg
+	big.MemoryMB = 1 << 44
+	if img, err := big.ResolveImage(); err == nil {
+		t.Fatalf("memory of 2^44 MB resolved to %d bytes", img.MemBytes)
+	}
 	// Unknown kernel surfaces an error.
 	cfg.Kernel = "nonesuch"
 	if _, err := cfg.ResolveImage(); err == nil {

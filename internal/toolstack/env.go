@@ -256,26 +256,34 @@ func (e *Env) RunDom0(fn func()) time.Duration {
 	return raw + extra
 }
 
+// connectGuest is the guest half of device setup, shared by boot and
+// resume: on the store path every frontend connects (Fig. 7a steps
+// 3–4), then storeReads boot-time store reads, and the guest holds one
+// more store connection; on noxs the guest maps its device page.
+func (e *Env) connectGuest(vm *VM, storeReads int) error {
+	if !vm.Mode.UsesStore() {
+		return e.Noxs.ConnectGuest(vm.Dom.ID)
+	}
+	for i, dev := range vm.Image.Devices {
+		if err := xenbus.ConnectFrontend(e.Store, e.HV, vm.Dom.ID, dev.Kind, i); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < storeReads; i++ {
+		_, _ = e.Store.Read(fmt.Sprintf("/local/domain/%d/name", vm.Dom.ID))
+	}
+	e.Store.Connections++
+	return nil
+}
+
 // bootGuest performs the guest side of bringing a VM up: frontend
 // negotiation (store or noxs), then the OS boot work on the VM's core
 // (dilated by its neighbours), then idle-load registration.
 func (e *Env) BootGuest(vm *VM) error {
 	im := vm.Image
-	if vm.Mode.UsesStore() {
-		for i, dev := range im.Devices {
-			if err := xenbus.ConnectFrontend(e.Store, e.HV, vm.Dom.ID, dev.Kind, i); err != nil {
-				return fmt.Errorf("toolstack: boot %q: %w", vm.Name, err)
-			}
-		}
-		// Linux guests chatter with the store while booting.
-		for i := 0; i < im.StoreOpsBoot; i++ {
-			_, _ = e.Store.Read(fmt.Sprintf("/local/domain/%d/name", vm.Dom.ID))
-		}
-		e.Store.Connections++
-	} else {
-		if err := e.Noxs.ConnectGuest(vm.Dom.ID); err != nil {
-			return fmt.Errorf("toolstack: boot %q: %w", vm.Name, err)
-		}
+	// StoreOpsBoot: Linux guests chatter with the store while booting.
+	if err := e.connectGuest(vm, im.StoreOpsBoot); err != nil {
+		return fmt.Errorf("toolstack: boot %q: %w", vm.Name, err)
 	}
 	e.Sched.RunWork(e.Clock, vm.Core, im.BootWork)
 	e.Sched.AddGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
@@ -380,17 +388,8 @@ func (e *Env) PopulateGuest(id hv.DomID, img guest.Image) error {
 // the guest resumes from its saved state.
 func (e *Env) BootResumed(vm *VM) error {
 	im := vm.Image
-	if vm.Mode.UsesStore() {
-		for i, dev := range im.Devices {
-			if err := xenbus.ConnectFrontend(e.Store, e.HV, vm.Dom.ID, dev.Kind, i); err != nil {
-				return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
-			}
-		}
-		e.Store.Connections++
-	} else {
-		if err := e.Noxs.ConnectGuest(vm.Dom.ID); err != nil {
-			return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
-		}
+	if err := e.connectGuest(vm, 0); err != nil {
+		return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
 	}
 	e.Sched.AddGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
 	e.dom0WakeRate += im.WakeRatePerSec
@@ -398,19 +397,6 @@ func (e *Env) BootResumed(vm *VM) error {
 	e.Console.Attach(vm.Dom.ID)
 	_ = e.Console.Writef(vm.Dom.ID, "%s: resumed from saved state at %v\n", vm.Name, e.Clock.Now())
 	return nil
-}
-
-// StoreDeviceCreate performs the XenStore device handshake for one
-// device (used by restore and migration pre-creation).
-func (e *Env) StoreDeviceCreate(vm *VM, idx int, kind hv.DevKind, mac string) error {
-	req := xenbus.DeviceReq{Kind: kind, Dom: vm.Dom.ID, Idx: idx, MAC: mac}
-	if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-		xenbus.WriteDeviceEntries(tx, req)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return xenbus.WaitBackendReady(e.Store, e.Clock, vm.Dom.ID, kind, idx)
 }
 
 // Register adds an externally constructed VM (restore/migration) to

@@ -52,9 +52,13 @@ func (f Flavor) appendKey(b []byte) []byte {
 }
 
 // FlavorFor derives the shell flavor for an image under a device path.
+// Its devices carry no MACs: shells are pre-created before any guest
+// claims them, and the execute phase sets the real ones.
 func FlavorFor(img guest.Image, store bool) Flavor {
-	devs := make([]guest.DeviceSpec, len(img.Devices))
-	copy(devs, img.Devices)
+	devs := make([]guest.DeviceSpec, len(img.Devices), len(img.Devices)+1)
+	for i, d := range img.Devices {
+		devs[i].Kind = d.Kind
+	}
 	if !store {
 		// noxs guests always carry the sysctl power device (§5.1).
 		devs = append(devs, guest.DeviceSpec{Kind: hv.DevSysctl})
@@ -224,26 +228,10 @@ func (p *Pool) crash() {
 	e.Trace.Emit("pool", "crash", "", "", 0)
 }
 
-// reap tears down one orphaned shell: device state (store or noxs) and
-// the pre-created domain.
+// reap tears down one orphaned shell: device state (store or noxs),
+// its registry, and the pre-created domain.
 func (p *Pool) reap(s *Shell) {
-	e := p.env
-	if s.Flavor.Store {
-		for i, dev := range s.Flavor.Devices {
-			switch dev.Kind {
-			case hv.DevVif:
-				e.BackVif.Teardown(s.Dom.ID, i)
-			case hv.DevVbd:
-				e.BackVbd.Teardown(s.Dom.ID, i)
-			case hv.DevConsole:
-				e.BackConsole.Teardown(s.Dom.ID, i)
-			}
-			xenbus.RemoveDeviceEntries(e.Store, s.Dom.ID, dev.Kind, i)
-		}
-	} else {
-		e.Noxs.DestroyAll(s.Dom.ID)
-	}
-	_ = e.HV.DestroyDomain(s.Dom.ID)
+	_ = p.env.DiscardShell(s.Dom.ID, s.Flavor.Store, s.Flavor.Devices)
 }
 
 // Take removes one shell for flavor, or returns nil on a pool miss
@@ -347,25 +335,12 @@ func (p *Pool) prepare(f Flavor, fkey string) (*Shell, error) {
 	if err := e.PopulateGuest(dom.ID, f.Img); err != nil {
 		return nil, rollback(err)
 	}
-	if f.Store {
-		for i, dev := range f.Devices {
-			req := xenbus.DeviceReq{Kind: dev.Kind, Dom: dom.ID, Idx: i, MAC: ""}
-			if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-				xenbus.WriteDeviceEntries(tx, req)
-				return nil
-			}); err != nil {
-				return nil, rollback(err)
-			}
-			if err := xenbus.WaitBackendReady(e.Store, e.Clock, dom.ID, dev.Kind, i); err != nil {
-				return nil, rollback(err)
-			}
-		}
-	} else {
-		for i, dev := range f.Devices {
-			if _, err := e.Noxs.CreateDevice(dom.ID, dev.Kind, i, ""); err != nil {
-				return nil, rollback(err)
-			}
-		}
+	devs := f.Devices
+	if n := len(devs); n > 0 && devs[n-1].Kind == hv.DevSysctl {
+		devs = devs[:n-1] // AttachDevices adds the sysctl device itself
+	}
+	if err := e.AttachDevices(dom.ID, f.Store, devs); err != nil {
+		return nil, rollback(err)
 	}
 	if cerr := e.crashPoint("pool.prepare.devices"); cerr != nil {
 		return nil, cerr

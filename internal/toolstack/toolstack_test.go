@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"lightvm/internal/devd"
+	"lightvm/internal/faults"
 	"lightvm/internal/guest"
 	"lightvm/internal/sched"
 	"lightvm/internal/sim"
@@ -34,18 +36,61 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+// residue is what guests hold across the layers below the toolstack:
+// bridge ports, event channels, grants, domains and live noxs devices.
+type residue struct {
+	bridge, ports, grants, domains int
+	noxs                           uint64
+}
+
+func residueOf(e *Env) residue {
+	return residue{
+		bridge:  e.Bridge.(*devd.NullBridge).Ports,
+		ports:   e.HV.NumPorts(),
+		grants:  e.HV.NumGrants(),
+		domains: e.HV.NumDomains(),
+		noxs:    e.Noxs.Count.DevicesCreated - e.Noxs.Count.DevicesGone,
+	}
+}
+
+// checkTornDown asserts a teardown path left the environment exactly at
+// base: Fsck clean and nothing held in any layer.
+func checkTornDown(t *testing.T, e *Env, path string, base residue) {
+	t.Helper()
+	if v := Fsck(e); len(v) != 0 {
+		t.Fatalf("%s: fsck: %v", path, v)
+	}
+	if got := residueOf(e); got != base {
+		t.Fatalf("%s: left %+v, want baseline %+v", path, got, base)
+	}
+}
+
+// Every teardown path — destroy, clone + destroy, a pool-daemon crash
+// reaping its shells, and the ukvm monitor — returns the host to its
+// baseline in every mode.
 func TestCreateDestroyAllModes(t *testing.T) {
 	for _, mode := range []Mode{ModeXL, ModeChaosXS, ModeChaosSplit, ModeChaosNoXS, ModeLightVM} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			e := newEnv()
+			empty := residueOf(e)
 			drv := e.ForMode(mode)
-			if mode.UsesSplit() {
-				e.Pool.Register(FlavorFor(guest.Daytime(), mode.UsesStore()))
-				if err := e.Pool.Replenish(); err != nil {
-					t.Fatal(err)
+			flavor := FlavorFor(guest.Daytime(), mode.UsesStore())
+			// restock tops the pool back up after a take, so a split
+			// mode's baseline includes a full pool.
+			restock := func() {
+				if mode.UsesSplit() {
+					if err := e.Pool.Replenish(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
+			if mode.UsesSplit() {
+				e.Pool.Register(flavor)
+			}
+			restock()
+			base := residueOf(e)
+
 			vm, err := drv.Create("g1", guest.Daytime())
 			if err != nil {
 				t.Fatal(err)
@@ -69,8 +114,47 @@ func TestCreateDestroyAllModes(t *testing.T) {
 			if e.HV.UsedMemBytes() >= usedBefore {
 				t.Fatal("destroy did not release memory")
 			}
+			restock()
+			checkTornDown(t, e, "destroy", base)
+
+			parent, err := drv.Create("parent", guest.Daytime())
+			if err != nil {
+				t.Fatal(err)
+			}
+			clone, err := e.CloneVM(parent, "clone")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []*VM{clone, parent} {
+				if err := drv.Destroy(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restock()
+			checkTornDown(t, e, "clone", base)
+
+			if mode.UsesSplit() {
+				e.SetFaults(faults.New(e.Clock, 1, faults.Plan{Rate: 1, Kinds: []faults.Kind{faults.KindDaemonCrash}}))
+				if s := e.Pool.Take(flavor); s != nil {
+					t.Fatal("crashing Take returned a shell")
+				}
+				checkTornDown(t, e, "pool crash", empty)
+			}
 		})
 	}
+	t.Run("ukvm", func(t *testing.T) {
+		e := newEnv()
+		base := residueOf(e)
+		drv := NewUkvm(e)
+		vm, err := drv.Create("mirage", guest.Daytime())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := drv.Destroy(vm); err != nil {
+			t.Fatal(err)
+		}
+		checkTornDown(t, e, "ukvm", base)
+	})
 }
 
 func TestDuplicateNameRejected(t *testing.T) {

@@ -1,7 +1,6 @@
 package toolstack
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -78,13 +77,7 @@ func (u *Ukvm) Create(name string, img guest.Image) (*VM, error) {
 		retErr = e.HV.Unpause(dom.ID)
 	})
 	if retErr != nil {
-		e.forget(vm)
-		if vm.Dom != nil {
-			if derr := e.HV.DestroyDomain(vm.Dom.ID); derr != nil {
-				retErr = errors.Join(retErr, fmt.Errorf("toolstack: rollback of %q: %w", name, derr))
-			}
-		}
-		return nil, retErr
+		return nil, e.AbortCreate(vm, retErr)
 	}
 	vm.CreateTime = e.Clock.Now().Sub(start)
 	bootStart := e.Clock.Now()

@@ -1,10 +1,8 @@
 package toolstack
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/guest"
@@ -49,28 +47,22 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 	start := e.Clock.Now()
 
 	e.RunDom0(func() {
-		mark := func(dst *time.Duration, fn func()) {
-			t0 := e.Clock.Now()
-			fn()
-			*dst += e.Clock.Now().Sub(t0)
-		}
-
 		// 1. Configuration parsing.
-		mark(&bd.Config, func() { e.Clock.Sleep(costs.ConfigParse) })
+		e.mark(&bd.Config, func() { e.Clock.Sleep(costs.ConfigParse) })
 
 		// 2. Toolstack-internal bookkeeping. The intent journal is
 		// written before any durable state exists, and updated once the
 		// domain ID is known, so a restarted xl can always find what
 		// this creation left behind.
-		mark(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "hv", 0) })
+		e.mark(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "hv", 0) })
 		if retErr = e.crashPoint("xl.create.begin"); retErr != nil {
 			return
 		}
-		mark(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalXL) })
+		e.mark(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalXL) })
 
 		// 3. Hypervisor reservation + memory.
 		var dom *hv.Domain
-		mark(&bd.Hypervisor, func() {
+		e.mark(&bd.Hypervisor, func() {
 			var err error
 			dom, err = e.HV.CreateDomain(hv.Config{
 				MaxMem: img.MemBytes, VCPUs: 1, Cores: []int{vm.Core},
@@ -87,18 +79,18 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		if retErr != nil {
 			return
 		}
-		mark(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "store", dom.ID) })
+		e.mark(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "store", dom.ID) })
 		if retErr = e.crashPoint("xl.create.hv"); retErr != nil {
 			return
 		}
 
 		// 4. XenStore preamble: the domain's registry entries, the
 		// unique-name check, and libxl's many state re-reads.
-		mark(&bd.XenStore, func() { retErr = e.storeQuotaGate(dom.ID, "xl.create.store") })
+		e.mark(&bd.XenStore, func() { retErr = e.storeQuotaGate(dom.ID, "xl.create.store") })
 		if retErr != nil {
 			return
 		}
-		mark(&bd.XenStore, func() {
+		e.mark(&bd.XenStore, func() {
 			domPath := xenbus.DomainPath(dom.ID)
 			retErr = e.Store.Txn(8, func(tx *xenstore.Tx) error {
 				tx.Write(domPath+"/name", name)
@@ -140,7 +132,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 
 		// 5–7. Device pre-creation + initialization (split-driver
 		// handshake, bash hotplug).
-		mark(&bd.Devices, func() { retErr = x.createDevices(vm) })
+		e.mark(&bd.Devices, func() { retErr = x.createDevices(vm) })
 		if retErr != nil {
 			return
 		}
@@ -149,7 +141,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		}
 
 		// 8. Image build: parse the kernel and lay it out in memory.
-		mark(&bd.Load, func() {
+		e.mark(&bd.Load, func() {
 			retErr = e.HV.LoadImage(dom.ID, img.Name, img.TotalSize())
 		})
 		if retErr != nil {
@@ -157,7 +149,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		}
 
 		// Finalize: console ring info etc.
-		mark(&bd.XenStore, func() {
+		e.mark(&bd.XenStore, func() {
 			domPath := xenbus.DomainPath(dom.ID)
 			e.Store.Write(domPath+"/console/ring-ref", "1")
 			e.Store.Write(domPath+"/console/port", "2")
@@ -166,24 +158,14 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		})
 
 		// 9. Boot kick.
-		mark(&bd.Hypervisor, func() { retErr = e.HV.Unpause(dom.ID) })
+		e.mark(&bd.Hypervisor, func() { retErr = e.HV.Unpause(dom.ID) })
 		if retErr != nil {
 			return
 		}
 		retErr = e.crashPoint("xl.create.finalize")
 	})
 	if retErr != nil {
-		e.forget(vm)
-		if errors.Is(retErr, ErrToolstackCrash) {
-			// The toolstack process died mid-creation: no rollback runs,
-			// and whatever was built so far stays for scrub/recovery.
-			return nil, retErr
-		}
-		if vm.Dom != nil {
-			retErr = e.rollbackDomain(retErr, true, name, vm.Dom.ID)
-		}
-		e.journalClear(true, name)
-		return nil, retErr
+		return nil, e.AbortCreate(vm, retErr)
 	}
 	e.journalClear(true, name)
 	vm.LastBreakdown = bd
@@ -204,14 +186,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 func (x *XL) createDevices(vm *VM) error {
 	e := x.env
 	for i, dev := range vm.Image.Devices {
-		req := xenbus.DeviceReq{Kind: dev.Kind, Dom: vm.Dom.ID, Idx: i, MAC: dev.MAC}
-		if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-			xenbus.WriteDeviceEntries(tx, req)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := xenbus.WaitBackendReady(e.Store, e.Clock, vm.Dom.ID, dev.Kind, i); err != nil {
+		if err := e.attachDevice(vm.Dom.ID, dev.Kind, i, dev.MAC); err != nil {
 			return err
 		}
 		// libxl re-reads the device's backend nodes to verify.
@@ -236,17 +211,7 @@ func (x *XL) Destroy(vm *VM) error {
 		if crashErr = e.crashPoint("xl.destroy.begin"); crashErr != nil {
 			return
 		}
-		for i, dev := range vm.Image.Devices {
-			switch dev.Kind {
-			case hv.DevVif:
-				e.BackVif.Teardown(vm.Dom.ID, i)
-			case hv.DevVbd:
-				e.BackVbd.Teardown(vm.Dom.ID, i)
-			case hv.DevConsole:
-				e.BackConsole.Teardown(vm.Dom.ID, i)
-			}
-			xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
-		}
+		e.detachDevices(vm.Dom.ID, true, vm.Image.Devices)
 		if crashErr = e.crashPoint("xl.destroy.devices"); crashErr != nil {
 			return
 		}
