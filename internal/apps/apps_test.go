@@ -13,7 +13,11 @@ func TestParseIPv4(t *testing.T) {
 	if err != nil || a != 0x0a010203 {
 		t.Fatalf("ParseIPv4 = %x, %v", a, err)
 	}
-	for _, bad := range []string{"1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", ""} {
+	if a, err := ParseIPv4("0.0.0.0"); err != nil || a != 0 {
+		t.Fatalf("ParseIPv4(0.0.0.0) = %x, %v", a, err)
+	}
+	for _, bad := range []string{"1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "",
+		"+1.2.3.4", "1.-0.3.4", "01.2.3.4", "1.2.3.00", "001.002.003.004", "1.2.3.0255"} {
 		if _, err := ParseIPv4(bad); err == nil {
 			t.Fatalf("ParseIPv4(%q) accepted", bad)
 		}
@@ -38,7 +42,11 @@ func TestParsePrefix(t *testing.T) {
 	if err != nil || p3.Bits != 32 {
 		t.Fatalf("bare prefix: %+v", p3)
 	}
-	for _, bad := range []string{"1.2.3.4/33", "1.2.3.4/-1", "1.2.3.4/x", "bad/8"} {
+	if p, err := ParsePrefix("0.0.0.0/0"); err != nil || p.Bits != 0 {
+		t.Fatalf("ParsePrefix(0.0.0.0/0) = %+v, %v", p, err)
+	}
+	for _, bad := range []string{"1.2.3.4/33", "1.2.3.4/-1", "1.2.3.4/x", "bad/8",
+		"+1.2.3.4/+8", "1.2.3.4/+8", "1.2.3.4/08", "1.2.3.4/00", "001.002.003.004/008", "1.2.3.4/"} {
 		if _, err := ParsePrefix(bad); err == nil {
 			t.Fatalf("ParsePrefix(%q) accepted", bad)
 		}

@@ -41,7 +41,9 @@ type Prefix struct {
 	Bits int
 }
 
-// ParseIPv4 parses a dotted-quad address.
+// ParseIPv4 parses a dotted-quad address. Each octet is plain decimal:
+// no sign and no leading zero (some parsers read "010" as octal, so a
+// rule parser must not guess).
 func ParseIPv4(s string) (uint32, error) {
 	parts := strings.Split(s, ".")
 	if len(parts) != 4 {
@@ -49,8 +51,8 @@ func ParseIPv4(s string) (uint32, error) {
 	}
 	var addr uint32
 	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 {
+		n, ok := decimal(p, 255)
+		if !ok {
 			return 0, fmt.Errorf("apps: bad IPv4 octet %q in %q", p, s)
 		}
 		addr = addr<<8 | uint32(n)
@@ -58,13 +60,29 @@ func ParseIPv4(s string) (uint32, error) {
 	return addr, nil
 }
 
-// ParsePrefix parses "a.b.c.d/len" (or a bare address as /32).
+// decimal parses s as a canonical decimal number in [0, max]: digits
+// only, and no leading zero unless s is "0".
+func decimal(s string, max int) (int, bool) {
+	if s == "" || len(s) > 3 || (s[0] == '0' && len(s) > 1) {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, _ := strconv.Atoi(s)
+	return n, n <= max
+}
+
+// ParsePrefix parses "a.b.c.d/len" (or a bare address as /32). The
+// length is canonical decimal, like the octets.
 func ParsePrefix(s string) (Prefix, error) {
 	addrStr, bitsStr, found := strings.Cut(s, "/")
 	bits := 32
 	if found {
-		b, err := strconv.Atoi(bitsStr)
-		if err != nil || b < 0 || b > 32 {
+		b, ok := decimal(bitsStr, 32)
+		if !ok {
 			return Prefix{}, fmt.Errorf("apps: bad prefix length in %q", s)
 		}
 		bits = b

@@ -1,10 +1,16 @@
 package apps
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // FuzzParsePrefix feeds arbitrary strings to the firewall's CIDR
 // parser. An accepted prefix has a length in [0, 32], no host bits
-// set, contains its own address, and survives a String round trip.
+// set, contains its own address, survives a String round trip, and
+// was written in canonical decimal (so the corpus entries leading-plus
+// and leading-zeros must be rejected).
 // Seeded with the unit tests' inputs plus the checked-in corpus under
 // testdata/fuzz.
 func FuzzParsePrefix(f *testing.F) {
@@ -28,6 +34,17 @@ func FuzzParsePrefix(f *testing.F) {
 		back, err := ParsePrefix(p.String())
 		if err != nil || back != p {
 			t.Fatalf("%q: round trip of %s gave %+v, %v", s, p, back, err)
+		}
+		// Every accepted field is canonical decimal: no sign, no
+		// leading zero, nothing that reads differently elsewhere.
+		addrStr, bitsStr, found := strings.Cut(s, "/")
+		if found && bitsStr != strconv.Itoa(p.Bits) {
+			t.Fatalf("%q: length %q is not canonical for %d", s, bitsStr, p.Bits)
+		}
+		for _, o := range strings.Split(addrStr, ".") {
+			if n, err := strconv.Atoi(o); err != nil || o != strconv.Itoa(n) {
+				t.Fatalf("%q: octet %q is not canonical decimal", s, o)
+			}
 		}
 	})
 }

@@ -308,11 +308,10 @@ const (
 	CloneSnapshotPerMB = 450 * time.Microsecond
 
 	// CostStoreSnapshot is the flat price of asking the store daemon
-	// for a consistent snapshot of its tree. The immutable store
-	// captures its current root in O(1) — one protocol round trip plus
-	// daemon bookkeeping — so checkpoint and clone pay this constant
-	// instead of a per-node walk, regardless of how many guests are
-	// registered.
+	// for a consistent snapshot of one guest's subtree: one protocol
+	// round trip plus daemon bookkeeping, so checkpoint and clone pay
+	// this constant instead of a read per node, regardless of how many
+	// guests are registered.
 	CostStoreSnapshot = 150 * time.Microsecond
 
 	// CloneWorkingSetFraction is the private memory a fresh clone

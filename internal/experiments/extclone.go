@@ -63,8 +63,8 @@ func extClone(o Options) (Result, error) {
 		cloneMS := float64(clone.CreateTime) / float64(time.Millisecond)
 
 		// Store-backed clone on its own host: same fork, but the child
-		// inherits the parent's registry via an O(1) xenstore snapshot
-		// graft rather than a per-entry rewrite.
+		// inherits the parent's registry via one flat-charged xenstore
+		// snapshot graft rather than a per-entry rewrite.
 		hxs, err := core.NewHost(sched.Machine{Name: "clone-host-xs", Cores: 4, Dom0Cores: 1, MemoryGB: 64}, o.Seed)
 		if err != nil {
 			return err

@@ -115,7 +115,6 @@ func (h *Hypervisor) DevicePageMap(id DomID) ([]DevEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.Count.DevPageReads++
 	h.charge(costs.NoxsDevicePageMap)
 	if d.DevPage == nil {
 		return nil, nil

@@ -65,7 +65,6 @@ func (h *Hypervisor) Send(p Port) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
-	h.Count.EvtchnSends++
 	h.charge(costs.SoftIRQ)
 	ch.pending++
 	if ch.bound && ch.handler != nil {

@@ -68,10 +68,8 @@ type Domain struct {
 	Mem      []mm.Extent
 	MemBytes uint64
 
-	// Kernel image descriptor: the bytes are charged, not copied, so
-	// density experiments with 1.1 GB Debian images stay tractable.
-	KernelSize  uint64
-	KernelName  string
+	// Kernel image: the bytes are charged, not copied, so density
+	// experiments with 1.1 GB Debian images stay tractable.
 	KernelEntry uint64 // fake entry point, set by image build
 
 	// DevPage is the noxs device page (nil until created).
@@ -85,9 +83,6 @@ type Domain struct {
 
 	// ShutdownReason is set when the guest shuts down or suspends.
 	ShutdownReason string
-
-	CreatedAt sim.Time
-	BootedAt  sim.Time
 
 	// held lists the event channels and grants this guest is an
 	// endpoint of, so DestroyDomain releases them without scanning the
@@ -107,12 +102,8 @@ type Config struct {
 
 // Counters aggregates hypervisor activity for tests and breakdowns.
 type Counters struct {
-	Hypercalls   uint64
-	EvtchnSends  uint64
-	GrantMaps    uint64
-	DomainsMade  uint64
-	DomainsGone  uint64
-	DevPageReads uint64
+	Hypercalls uint64
+	GrantMaps  uint64
 }
 
 // Hypervisor is the machine-wide monitor.
@@ -149,7 +140,7 @@ func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 		grants:  make(map[GrantRef]*grant),
 	}
 	h.Share = mm.NewSharePool(h.Mem)
-	dom0 := &Domain{ID: 0, State: StateRunning, CreatedAt: clock.Now()}
+	dom0 := &Domain{ID: 0, State: StateRunning}
 	dom0Bytes := uint64(costs.Dom0BaseMB * 1024 * 1024)
 	exts, err := h.Mem.AllocBytes(dom0Bytes, mm.Owner(0))
 	if err != nil {
@@ -200,10 +191,9 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		cfg.VCPUs = 1
 	}
 	d := &Domain{
-		ID:        h.nextID,
-		State:     StateCreated,
-		MaxMem:    cfg.MaxMem,
-		CreatedAt: h.Clock.Now(),
+		ID:     h.nextID,
+		State:  StateCreated,
+		MaxMem: cfg.MaxMem,
 	}
 	h.nextID++
 	d.held = endpoints{ports: d.portBuf[:0], grants: d.grantBuf[:0]}
@@ -220,7 +210,6 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		d.VCPUs = append(d.VCPUs, VCPU{ID: i, Core: core})
 	}
 	h.domains[d.ID] = d
-	h.Count.DomainsMade++
 	h.charge(costs.HypervisorReserve)
 	return d, nil
 }
@@ -275,8 +264,9 @@ func (h *Hypervisor) PopulateShared(id DomID, key string, bytes uint64) error {
 	return nil
 }
 
-// LoadImage charges the image parse+copy cost and records the kernel.
-func (h *Hypervisor) LoadImage(id DomID, name string, size uint64) error {
+// LoadImage charges the parse+copy cost of a size-byte image and
+// leaves the domain paused, ready to unpause.
+func (h *Hypervisor) LoadImage(id DomID, size uint64) error {
 	d, err := h.Domain(id)
 	if err != nil {
 		return err
@@ -289,8 +279,6 @@ func (h *Hypervisor) LoadImage(id DomID, name string, size uint64) error {
 	}
 	mb := float64(size) / (1024 * 1024)
 	h.charge(costs.ImageLoadBase + sim.Duration(mb*float64(costs.ImageLoadPerMB)))
-	d.KernelSize = size
-	d.KernelName = name
 	d.KernelEntry = 0xffffffff80000000
 	d.State = StatePaused
 	return nil
@@ -306,7 +294,6 @@ func (h *Hypervisor) Unpause(id DomID) error {
 		return fmt.Errorf("%w: unpause %v domain", ErrBadState, d.State)
 	}
 	d.State = StateRunning
-	d.BootedAt = h.Clock.Now()
 	h.charge(costs.VMBootKick)
 	return nil
 }
@@ -366,7 +353,6 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		}
 	}
 	delete(h.domains, id)
-	h.Count.DomainsGone++
 	// Teardown walks the page lists; charge proportional to memory.
 	mb := float64(d.MemBytes) / (1024 * 1024)
 	h.charge(sim.Duration(mb * float64(costs.MemReservePerMB) / 2))

@@ -45,7 +45,7 @@ func TestDomainLifecycle(t *testing.T) {
 	if d.MemBytes != 8*mib {
 		t.Fatalf("MemBytes = %d", d.MemBytes)
 	}
-	if err := h.LoadImage(d.ID, "daytime", 480*1024); err != nil {
+	if err := h.LoadImage(d.ID, 480*1024); err != nil {
 		t.Fatal(err)
 	}
 	if d.State != StatePaused {
@@ -72,7 +72,7 @@ func TestDomainLifecycle(t *testing.T) {
 func TestLoadImageRequiresPopulatedMemory(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
-	if err := h.LoadImage(d.ID, "img", mib); err == nil {
+	if err := h.LoadImage(d.ID, mib); err == nil {
 		t.Fatal("image load into unpopulated domain accepted")
 	}
 }
@@ -288,7 +288,7 @@ func TestSuspendAndResume(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: 8 * mib})
 	_ = h.PopulatePhysmap(d.ID, 8*mib)
-	_ = h.LoadImage(d.ID, "daytime", 480*1024)
+	_ = h.LoadImage(d.ID, 480*1024)
 	_ = h.Unpause(d.ID)
 	if err := h.Suspend(d.ID, "suspend"); err != nil {
 		t.Fatal(err)

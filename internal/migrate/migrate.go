@@ -59,9 +59,9 @@ type Checkpoint struct {
 	Blob []byte
 
 	// StoreState is the guest's control-plane registry — the serialized
-	// O(1) snapshot of its /local/domain/<id> subtree — for store-backed
+	// snapshot of its /local/domain/<id> subtree — for store-backed
 	// modes (nil on the noxs path, which has no store). Restore grafts
-	// it back under the new domain id by structural sharing.
+	// it back under the new domain id in one store op.
 	StoreState []byte
 }
 
@@ -243,13 +243,11 @@ func Save(e *toolstack.Env, vm *toolstack.VM) (*Checkpoint, time.Duration, error
 		}
 		var storeState []byte
 		if vm.Mode.UsesStore() {
-			// Capture the guest's registry subtree from an O(1) store
+			// Capture the guest's registry subtree in one daemon-side
 			// snapshot: one flat charge regardless of how many guests
 			// populate the store (the old alternative — reading the
 			// subtree entry by entry — would cost a protocol round trip
-			// per node). SerializeSubtree keeps no reference to the
-			// tree, so the capture doesn't suppress node-pool recycling
-			// the way a long-lived Snapshot would.
+			// per node).
 			e.Clock.Sleep(costs.CostStoreSnapshot)
 			state, err := e.Store.SerializeSubtree(xenbus.DomainPath(vm.Dom.ID))
 			if err != nil {
@@ -272,22 +270,9 @@ func Save(e *toolstack.Env, vm *toolstack.VM) (*Checkpoint, time.Duration, error
 	// window (it is asynchronous on real hosts, but still charged to
 	// the clock).
 	saveTime := time.Duration(e.Clock.Now().Sub(start))
-	e.RunDom0(func() {
-		e.UnregisterRunning(vm)
-		if vm.Mode.UsesStore() {
-			for i, dev := range vm.Image.Devices {
-				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
-			}
-			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
-		} else {
-			e.Noxs.DestroyAll(vm.Dom.ID)
-		}
-		retErr = e.HV.DestroyDomain(vm.Dom.ID)
-	})
-	if retErr != nil {
-		return nil, 0, retErr
+	if err := teardownSource(e, vm); err != nil {
+		return nil, 0, err
 	}
-	e.Forget(vm)
 	e.Trace.Emit("migrate", "save", vm.Name, "mode="+vm.Mode.String(), saveTime)
 	return cp, saveTime, nil
 }
@@ -325,8 +310,8 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 		}
 		loadCost(e, cp.MemBytes)
 		if storeSnap != nil {
-			// Graft the frozen registry under the new domain id: one
-			// store op, structural sharing — the restored guest's
+			// Graft the captured registry under the new domain id: one
+			// store op — the restored guest's
 			// name/memory/control entries come back without a write per
 			// node. Device entries are re-negotiated below (fresh event
 			// channels and grants), overwriting the captured handshake
@@ -460,26 +445,38 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 
 	// 5. Tear down the source instance (device destruction is where
 	// noxs pays its unoptimized-teardown penalty, §6.2).
-	var downErr error
-	src.RunDom0(func() {
-		src.UnregisterRunning(vm)
-		if vm.Mode.UsesStore() {
-			for i, dev := range vm.Image.Devices {
-				xenbus.RemoveDeviceEntries(src.Store, vm.Dom.ID, dev.Kind, i)
-			}
-			_ = src.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
-		} else {
-			src.Noxs.DestroyAll(vm.Dom.ID)
-		}
-		downErr = src.HV.DestroyDomain(vm.Dom.ID)
-	})
-	if downErr != nil {
-		return nil, 0, downErr
+	if err := teardownSource(src, vm); err != nil {
+		return nil, 0, err
 	}
-	src.Forget(vm)
 	migTime := time.Duration(src.Clock.Now().Sub(start))
 	src.Trace.Emit("migrate", "migrate", vm.Name, "mode="+vm.Mode.String(), migTime)
 	return newVM, migTime, nil
+}
+
+// teardownSource removes a saved or migrated-away guest from its
+// source host: its device entries and registry subtree on the store
+// modes (or its noxs devices), then its domain; the toolstack then
+// forgets it. Unlike a Destroy, the store modes remove entries only,
+// with no backend teardown.
+func teardownSource(e *toolstack.Env, vm *toolstack.VM) error {
+	var err error
+	e.RunDom0(func() {
+		e.UnregisterRunning(vm)
+		if vm.Mode.UsesStore() {
+			for i, dev := range vm.Image.Devices {
+				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
+			}
+			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
+		} else {
+			e.Noxs.DestroyAll(vm.Dom.ID)
+		}
+		err = e.HV.DestroyDomain(vm.Dom.ID)
+	})
+	if err != nil {
+		return err
+	}
+	e.Forget(vm)
+	return nil
 }
 
 // rollback aborts a migration after the destination was pre-created:

@@ -39,7 +39,6 @@ type Counters struct {
 	DevicesCreated uint64
 	DevicesGone    uint64
 	Suspends       uint64
-	Poweroffs      uint64
 }
 
 // sysctlState is the shared control page of the sysctl device.
@@ -300,8 +299,6 @@ func (m *Module) RequestShutdown(dom hv.DomID, reason string) error {
 	st.shutdownReason = reason
 	if reason == "suspend" {
 		m.Count.Suspends++
-	} else {
-		m.Count.Poweroffs++
 	}
 	return m.HV.Send(st.port)
 }

@@ -68,13 +68,13 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 		}
 		// Fresh devices: a clone must not share its parent's rings.
 		if us {
-			// The child inherits the parent's registry in one graft: an
-			// O(1) snapshot capture plus a single store op, instead of
-			// re-writing every entry. Device handshake state is then
-			// re-negotiated below with fresh rings, overwriting the
-			// captured entries in place.
+			// The child inherits the parent's registry in one graft: a
+			// capture of the parent's subtree plus a single store op,
+			// instead of re-writing every entry. Device handshake state
+			// is then re-negotiated below with fresh rings, overwriting
+			// the captured entries in place.
 			e.Clock.Sleep(costs.CostStoreSnapshot)
-			sub, err := e.Store.Snapshot().Subtree(xenbus.DomainPath(parent.Dom.ID))
+			sub, err := e.Store.SnapshotSubtree(xenbus.DomainPath(parent.Dom.ID))
 			if err != nil {
 				retErr = err
 				return

@@ -56,7 +56,7 @@ func Fsck(e *Env) []Violation {
 		add("xenstore", "store-internal", "", "%s", p)
 	}
 
-	snap := e.Store.Snapshot()
+	snap := e.Store.View()
 
 	// Orphan registry subtrees and dirty journals.
 	if ids, err := snap.Directory("/local/domain"); err == nil {

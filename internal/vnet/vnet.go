@@ -47,7 +47,6 @@ type Handler func(Packet)
 // Counters tracks switch activity.
 type Counters struct {
 	Forwarded uint64
-	Queued    uint64
 	Dropped   uint64
 }
 
@@ -149,7 +148,6 @@ func (s *Switch) Send(pkt Packet) bool {
 		}
 		s.waiting[pkt.Dst] = append(s.waiting[pkt.Dst], pkt)
 		s.backlog++
-		s.Count.Queued++
 		return true
 	}
 	s.deliver(h, pkt)

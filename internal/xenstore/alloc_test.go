@@ -56,25 +56,19 @@ func TestWriteWarmAllocBudget(t *testing.T) {
 	// An unrelated watch must not drag allocations into the write path:
 	// the bucket index rules it out without building candidate sets.
 	s.Watch("/backend/vbd", "tok", func(string, string) {})
-	// A warm write copies the spine of the immutable tree — that is the
-	// price of O(1) snapshots — but the copy must stay a small constant:
-	// one node plus one or two trie levels per path component, plus the
-	// published treeState. Anything beyond the budget means structural
-	// sharing broke and writes started copying whole directories.
-	const writeAllocBudget = 32
+	// A warm overwrite edits the node in place: it must not allocate.
 	allocs := testing.AllocsPerRun(200, func() {
 		s.Write(warmPath+"/0/state", "4")
 	})
-	if allocs > writeAllocBudget {
-		t.Fatalf("Store.Write on a warm path allocates %.1f objects/op, budget %d (spine copy only)",
-			allocs, writeAllocBudget)
+	if allocs > 0 {
+		t.Fatalf("Store.Write overwriting a warm path allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 func TestWriteAllocsIndependentOfFanout(t *testing.T) {
-	// The proof that writes copy spines, not directories: the per-write
-	// allocation count must not grow with the number of siblings. A
-	// naive copy-on-write (clone the whole children map) would allocate
+	// A write must not do work proportional to its directory's fanout:
+	// the per-write allocation count must not grow with the number of
+	// siblings. Copying a whole children map per write would allocate
 	// O(fanout) here and fail by orders of magnitude.
 	small := warmStore()
 	base := testing.AllocsPerRun(200, func() {
@@ -87,10 +81,10 @@ func TestWriteAllocsIndependentOfFanout(t *testing.T) {
 	wide := testing.AllocsPerRun(200, func() {
 		big.Write(warmPath+"/0/state", "4")
 	})
-	// 4096 siblings add at most a couple of trie levels to the spine
+	// 4096 siblings add at most a couple of trie levels to the path
 	// (log32), never a fanout-proportional copy.
 	if wide > base+8 {
-		t.Fatalf("write allocations grew with fanout: %.1f objects/op at 4096 siblings vs %.1f at 3 — directory copied instead of shared",
+		t.Fatalf("write allocations grew with fanout: %.1f objects/op at 4096 siblings vs %.1f at 3 — directory copied",
 			wide, base)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //   - the per-domain quota ledger matches the number of nodes each
 //     domain actually owns in the tree, in both directions.
 //
-// Like Snapshot, it only reads the published root and charges no
+// It reads the live tree in place, without copying it, and charges no
 // virtual time, so experiments can audit themselves without
 // perturbing their own figures.
 func (s *Store) CheckConsistency() []string {
@@ -43,8 +43,7 @@ func (s *Store) CheckConsistency() []string {
 		}
 		return size
 	}
-	root := s.loaded().root
-	walk("", root)
+	walk("", s.root)
 	for owner, n := range owned {
 		if got := s.ownerNodes[owner]; got != n {
 			out = append(out, fmt.Sprintf("quota ledger: domain %d charged %d nodes, owns %d", owner, got, n))

@@ -1,10 +1,11 @@
 package xenstore
 
 // Model-checking harness: seeded random operation sequences run
-// against the copy-on-write store AND a deliberately dumb reference
+// against the store AND a deliberately dumb reference
 // model (a flat map of paths). Any divergence — values, listings,
 // errors, watch firings, quota accounting, transaction conflicts, or a
-// mid-sequence snapshot that fails to stay frozen — fails with the
+// mid-sequence snapshot that fails to stay frozen, including after it
+// was grafted back into the store — fails with the
 // seed and operation index, so a failure reproduces by seed alone.
 //
 // The reference model mirrors the store's *semantics*, including its
@@ -418,6 +419,60 @@ func (t *refTx) commit(m *refStore) bool {
 	return false
 }
 
+// graft mirrors GraftSnapshot from a model copy src taken at
+// generation srcGen: the displaced subtree returns its quota and the
+// grafted nodes are charged to their owners; the counter catches up
+// with srcGen and gives the grafted root a fresh generation, and only
+// then are missing components down to dst created (an existing dst is
+// replaced in place, bumping nothing else).
+func (m *refStore) graft(src map[string]refNode, srcGen uint64, srcPath, dst string) error {
+	if _, ok := src[srcPath]; !ok {
+		return ErrNoEnt
+	}
+	existed := m.exists(dst)
+	for q, n := range m.nodes {
+		if q == dst || strings.HasPrefix(q, dst+"/") {
+			m.debitOwner(n.owner)
+			delete(m.nodes, q)
+		}
+	}
+	grafted := map[string]refNode{}
+	for q, n := range src {
+		switch {
+		case q == srcPath:
+			grafted[dst] = n
+		case srcPath == "/":
+			grafted[dst+q] = n
+		case strings.HasPrefix(q, srcPath+"/"):
+			grafted[dst+q[len(srcPath):]] = n
+		default:
+			continue
+		}
+		if n.owner != 0 {
+			m.owned[n.owner]++
+		}
+	}
+	if srcGen > m.gen {
+		m.gen = srcGen
+	}
+	m.gen++
+	root := grafted[dst]
+	root.gen = m.gen
+	grafted[dst] = root
+	parent := refParent(dst)
+	m.ensure(0, parent)
+	if !existed {
+		m.gen++
+		m.nodes[parent].gen = m.gen
+	}
+	for q, n := range grafted {
+		c := n
+		m.nodes[q] = &c
+	}
+	m.fire(dst)
+	return nil
+}
+
 // snapshotCopy deep-copies the model's node map for frozen comparison.
 func (m *refStore) snapshotCopy() map[string]refNode {
 	out := make(map[string]refNode, len(m.nodes))
@@ -452,6 +507,7 @@ type frozenPair struct {
 	opIndex int
 	sn      *Snapshot
 	want    map[string]refNode
+	gen     uint64
 }
 
 // openTxn pairs a live transaction with its model twin.
@@ -593,8 +649,26 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 				watches[i].rw.active = false
 				watches = append(watches[:i], watches[i+1:]...)
 			}
-		case k < 82: // freeze a snapshot mid-sequence
-			frozen = append(frozen, frozenPair{opIndex: op, sn: s.Snapshot(), want: m.snapshotCopy()})
+		case k < 80: // freeze a snapshot mid-sequence
+			fz := frozenPair{opIndex: op, sn: s.Snapshot(), want: m.snapshotCopy(), gen: m.gen}
+			if fz.sn.Gen() != fz.gen {
+				fail(op, "Snapshot generation: store %d, model %d", fz.sn.Gen(), fz.gen)
+			}
+			frozen = append(frozen, fz)
+		case k < 82: // graft a frozen snapshot's subtree back in
+			if len(frozen) == 0 {
+				continue
+			}
+			fz := frozen[r.Intn(len(frozen))]
+			src, dst := "/", randPath(r)
+			if r.Intn(3) > 0 {
+				src = randPath(r)
+			}
+			gotErr := s.GraftSnapshot(fz.sn, src, dst)
+			wantErr := m.graft(fz.want, fz.gen, src, dst)
+			if !sameErr(gotErr, wantErr) {
+				fail(op, "GraftSnapshot(@op%d %q -> %q): store %v, model %v", fz.opIndex, src, dst, gotErr, wantErr)
+			}
 		default: // transaction step (interleaved: up to 3 open at once)
 			if len(txns) < 3 && (len(txns) == 0 || r.Intn(2) == 0) {
 				txns = append(txns, openTxn{tx: s.TxnStart(), rt: m.txnStart()})

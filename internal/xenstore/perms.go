@@ -46,26 +46,16 @@ var ErrPermission = errors.New("xenstore: permission denied")
 
 // SetPerm sets a node's owner and access class (toolstack operation).
 // Like real xenstored's SET_PERMS it does not bump the node's
-// generation (ACL changes do not conflict transactions), but in the
-// immutable tree it still publishes a fresh spine.
+// generation (ACL changes do not conflict transactions).
 func (s *Store) SetPerm(path string, owner int, perm Perm) error {
-	s.enter()
-	defer s.exit()
-	it := hashSegments(path)
-	oldOwner := 0
-	newRoot, touched, found := updateAt(s.pl, s.loaded().root, &it, func(n *node) *node {
-		oldOwner = n.owner
-		c := n.clone(s.pl)
-		c.owner = owner
-		c.perm = perm
-		s.pl.retireNode(n)
-		return c
-	})
-	s.chargeOp(touched)
-	if !found {
+	n, touched := s.resolve(path)
+	if n == nil {
+		s.chargeOp(touched)
 		return &noEntError{path}
 	}
-	s.publish(newRoot)
+	oldOwner := n.owner
+	n.owner, n.perm = owner, perm
+	s.muts++
 	// Ownership moved: the node's quota charge follows it (recorded,
 	// not enforced — SET_PERMS is a Dom0 operation and must not fail
 	// halfway), keeping ledger == tree for every domain.
@@ -84,24 +74,16 @@ func (s *Store) SetPerm(path string, owner int, perm Perm) error {
 			s.ownerNodes[owner]++
 		}
 	}
+	s.chargeOp(touched)
 	return nil
 }
 
 // PermOf reports a node's owner and access class (as of the end of the
 // charged round trip, like Read).
 func (s *Store) PermOf(path string) (owner int, perm Perm, err error) {
-	s.enter()
-	defer s.exit()
-	n, touched := s.resolve(path)
-	pubs := s.pubs
-	s.chargeOp(touched)
-	if n == nil {
+	n, ok := s.readAt(path)
+	if !ok {
 		return 0, PermNone, &noEntError{path}
-	}
-	if s.pubs != pubs {
-		if cur, _ := s.resolve(path); cur != nil {
-			n = cur
-		}
 	}
 	return n.owner, n.perm, nil
 }
@@ -159,21 +141,11 @@ func (s *Store) mayWrite(domid int, path string, n *node) bool {
 
 // GuestRead is a read issued by a guest domain, subject to ACLs.
 func (s *Store) GuestRead(domid int, path string) (string, error) {
-	s.enter()
-	defer s.exit()
-	n, touched := s.resolve(path)
-	pubs := s.pubs
-	s.chargeOp(touched)
-	if n == nil {
+	n, ok := s.readAt(path) // end-of-round-trip semantics, like Read
+	if !ok {
 		return "", &noEntError{path}
 	}
-	// End-of-round-trip semantics, like Read.
-	if s.pubs != pubs {
-		if cur, _ := s.resolve(path); cur != nil {
-			n = cur
-		}
-	}
-	if !s.mayRead(domid, path, n) {
+	if !s.mayRead(domid, path, &n) {
 		return "", fmt.Errorf("%w: domain %d reading %s", ErrPermission, domid, path)
 	}
 	return n.value, nil

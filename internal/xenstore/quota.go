@@ -216,7 +216,7 @@ func (s *Store) WatchAsGuest(owner int, path, token string, fn WatchFn) (WatchID
 // missingNodes reports how many path components do not yet exist.
 func (s *Store) missingNodes(path string) int {
 	it := hashSegments(path)
-	n := s.loaded().root
+	n := s.root
 	missing := 0
 	for {
 		p, h, ok := it.next()

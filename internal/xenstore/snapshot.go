@@ -5,54 +5,66 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
-// Snapshot is an immutable capture of the store at one published
-// version. Taking one is O(1) — a single atomic load of the root
-// pointer — because the tree is never mutated in place (tree.go);
-// the snapshot stays frozen forever while the live store keeps moving.
+// Snapshot is a read-only capture of a store subtree. A captured
+// Snapshot (Store.Snapshot, Store.SnapshotSubtree, DeserializeSnapshot)
+// owns a private copy of its nodes, so it stays frozen while the live
+// store keeps moving and any goroutine may read it. Store.View is the
+// exception: it reads the live tree itself.
 //
 // Snapshots never charge the virtual clock: capturing one models a
-// pointer swap inside the daemon, and reading one models the consumer
+// copy inside the daemon, and reading one models the consumer
 // (toolstack, migration code) walking its own frozen copy without a
 // round trip to the daemon. Consumers that want the protocol-level
 // cost of asking the daemon for a snapshot charge
 // costs.CostStoreSnapshot on their own clock (see internal/migrate).
-// This is also what makes Snapshot safe to call from any goroutine
-// while the owning timeline mutates: it touches only the atomic root
-// and an atomic counter.
+//
+// Captures copy what they capture — one guest's subtree for clone and
+// checkpoint save, about 40 nodes — on the store's own timeline, so
+// writes never pay for snapshots (DESIGN.md §6).
 type Snapshot struct {
 	root *node
 	gen  uint64
 }
 
-// Snapshot captures the current store state in O(1).
-//
-// The snapshot epoch MUST be bumped before the root is loaded: the
-// pool (pool.go) recycles retired nodes only when the epoch did not
-// move during their lifetime, and sequentially-consistent ordering of
-// the two atomics guarantees that any root this load can observe is
-// either seen by the mutator's flush as epoch-protected, or was
-// published after the bump (in which case the nodes this snapshot can
-// reach were not retired before it). Loading first would open a window
-// where a concurrently-retired node is recycled while this snapshot
-// still references it.
+// Snapshot copies the whole store. It is O(store size); per-guest
+// callers capture their own subtree with SnapshotSubtree.
 func (s *Store) Snapshot() *Snapshot {
-	s.snapEpoch.Add(1)
-	st := s.state.Load()
-	atomic.AddUint64(&s.Count.Snapshots, 1)
-	return &Snapshot{root: st.root, gen: st.gen}
+	s.Count.Snapshots++
+	return &Snapshot{root: copyNode(nil, s.root), gen: s.gen}
+}
+
+// SnapshotSubtree copies the subtree at path, rooted at path's node
+// (O(subtree size)).
+func (s *Store) SnapshotSubtree(path string) (*Snapshot, error) {
+	sub, err := s.View().Subtree(path)
+	if err != nil {
+		return nil, err
+	}
+	s.Count.Snapshots++
+	sub.root = copyNode(nil, sub.root)
+	return sub, nil
+}
+
+// View returns an uncharged, read-only view of the live tree. It is not
+// a copy, and it is meant for reading a quiescent store, as the
+// cross-layer audit (toolstack.Fsck) does: a view (or a Subtree of it)
+// is valid only until the next mutation, which may detach and recycle
+// the nodes it reaches. GraftSnapshot copies what it installs before
+// it changes anything, so a view may also be a graft source.
+func (s *Store) View() *Snapshot {
+	return &Snapshot{root: s.root, gen: s.gen}
 }
 
 // Gen reports the store generation the snapshot was taken at.
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
 
-// NumNodes reports how many nodes the snapshot captured, including its
-// own root. O(1): subtree sizes ride along on every copy.
+// NumNodes reports how many nodes the snapshot holds, including its
+// own root. O(1): subtree sizes are kept on every node.
 func (sn *Snapshot) NumNodes() int { return sn.root.size }
 
-// Read returns the value at path inside the frozen tree.
+// Read returns the value at path inside the snapshot.
 func (sn *Snapshot) Read(path string) (string, error) {
 	n, _ := resolveFrom(sn.root, path)
 	if n == nil {
@@ -78,8 +90,8 @@ func (sn *Snapshot) Directory(path string) ([]string, error) {
 	return out, nil
 }
 
-// Subtree returns a snapshot rooted at path (sharing the same frozen
-// nodes; O(depth of path)).
+// Subtree returns a snapshot rooted at path (sharing the same nodes;
+// O(depth of path)).
 func (sn *Snapshot) Subtree(path string) (*Snapshot, error) {
 	n, _ := resolveFrom(sn.root, path)
 	if n == nil {
@@ -112,24 +124,15 @@ func (sn *Snapshot) Serialize() []byte {
 
 // SerializeSubtree encodes the subtree at path in the canonical
 // snapshot format, byte-identical to
-// Snapshot().Subtree(path).Serialize(). Unlike that chain it runs
-// entirely on the mutator's side and retains no reference to the tree
-// after returning, so it does not bump the snapshot epoch: a
-// checkpoint save no longer excludes every node whose lifetime spans
-// it from pool recycling. Callers that keep a live Snapshot (clone's
-// same-store graft) must still use Snapshot().
+// SnapshotSubtree(path).Serialize(), straight from the live tree
+// without copying it.
 func (s *Store) SerializeSubtree(path string) ([]byte, error) {
-	st := s.loaded()
-	n, _ := resolveFrom(st.root, path)
-	if n == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoEnt, path)
+	sub, err := s.View().Subtree(path)
+	if err != nil {
+		return nil, err
 	}
-	atomic.AddUint64(&s.Count.Snapshots, 1)
-	buf := make([]byte, 0, 64+n.size*24)
-	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, st.gen)
-	var scratch []*node
-	return appendNode(buf, n, &scratch), nil
+	s.Count.Snapshots++
+	return sub.Serialize(), nil
 }
 
 // appendNode encodes one node and its children (sorted by name).
@@ -292,11 +295,7 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 			return nil, fmt.Errorf("%w: children out of order (%q after %q)", ErrBadSnapshot, c.name, prev)
 		}
 		prev = c.name
-		// amtBuild mutates the build-private trie in place (one
-		// allocation per level instead of a copied spine per child).
-		// Deserialized nodes are unpooled (ptag 0) — they may be
-		// grafted into any store and must never be recycled.
-		n.kids = amtBuild(n.kids, 0, c)
+		n.kids = amtBuild(nil, n.kids, 0, c)
 		n.nkids++
 		n.size += c.size
 	}
@@ -346,30 +345,17 @@ func DeserializeSnapshot(data []byte) (*Snapshot, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Grafting: installing a frozen subtree into a live store.
+// Grafting: installing a copy of a snapshot subtree into a live store.
 // ---------------------------------------------------------------------------
 
-// lastSegment returns the final component of path ("" for the root).
-func lastSegment(path string) string {
-	it := segments(path)
-	last := ""
-	for {
-		seg, ok := it.next()
-		if !ok {
-			return last
-		}
-		last = seg
-	}
-}
-
-// GraftSnapshot installs the subtree at srcPath of sn under dstPath,
-// replacing whatever is there. The grafted nodes are shared with the
-// snapshot (structural sharing: only the destination spine and the
-// grafted root are copied), which is what makes restore and clone
-// independent of subtree size. The grafted root gets a fresh
-// generation; interior nodes keep their captured generations, and the
-// store's counter is advanced past the snapshot's so generation order
-// stays monotonic even for snapshots carried over from another store.
+// GraftSnapshot installs a copy of the subtree at srcPath of sn under
+// dstPath, replacing whatever is there. The copy is taken before
+// anything changes, so later writes under dstPath never reach sn (and
+// a view of the store itself is a valid source). The grafted root gets
+// a fresh generation; interior nodes keep their captured generations,
+// and the store's counter is advanced past the snapshot's so
+// generation order stays monotonic even for snapshots carried over
+// from another store.
 //
 // Grafting maintains the quota ledger like any other mutation: nodes
 // displaced from dstPath return quota to their owners, and grafted
@@ -378,34 +364,29 @@ func lastSegment(path string) string {
 // not half-fail). One op is charged and watches fire once, on
 // dstPath.
 func (s *Store) GraftSnapshot(sn *Snapshot, srcPath, dstPath string) error {
-	s.enter()
-	defer s.exit()
 	sub, _ := resolveFrom(sn.root, srcPath)
 	if sub == nil {
 		s.chargeOp(1)
 		return fmt.Errorf("%w: snapshot path %s", ErrNoEnt, srcPath)
 	}
-	name := lastSegment(dstPath)
-	if name == "" {
+	if it := hashSegments(dstPath); it.rest == "" {
 		s.chargeOp(1)
 		return errors.New("xenstore: cannot graft onto the root")
 	}
+	grafted := copyNode(&s.free, sub)
 	if displaced, _ := s.resolve(dstPath); displaced != nil {
 		s.debitOwners(displaced)
 	}
-	s.creditOwners(sub)
+	s.creditOwners(grafted)
 	if sn.gen > s.gen {
 		s.gen = sn.gen
 	}
-	grafted := sub.clone(s.pl)
-	grafted.name = name
-	grafted.hsh = nameHash(name) // renamed: its segment id moves with it
 	s.gen++
 	grafted.gen = s.gen
 	it := hashSegments(dstPath)
 	op := leafOp{kind: leafReplace, repl: grafted}
-	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, 0, &op)
-	s.publish(newRoot)
+	touched, _, _ := s.applyWrite(s.root, &it, 0, &op)
+	s.muts++
 	s.chargeOp(touched + s.matchCost(dstPath))
 	s.fireWatches(dstPath)
 	return nil

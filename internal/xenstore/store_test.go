@@ -440,11 +440,9 @@ func TestUniqueNameChargesSuccessScan(t *testing.T) {
 // clock Sleep per compared name, interleaved with the comparisons. It
 // is the reference the batched charge must match exactly.
 func refWriteUniqueName(s *Store, dir, key, name string) error {
-	s.enter()
-	defer s.exit()
-	s.Count.UniqScans++
 	n, _ := s.resolve(dir)
 	if n != nil {
+		nkids := n.nkids
 		dup := false
 		n.eachChild(func(child *node) bool {
 			s.clock.Sleep(costs.XSNameUniquenessPerGuest)
@@ -454,7 +452,7 @@ func refWriteUniqueName(s *Store, dir, key, name string) error {
 			}
 			return true
 		})
-		s.chargeOp(n.nkids)
+		s.chargeOp(nkids)
 		if dup {
 			return fmt.Errorf("%w: name %q", ErrExists, name)
 		}
@@ -617,5 +615,46 @@ func TestConnectionCountSlowsOps(t *testing.T) {
 	}
 	if loaded-idle < 1000*costs.XSPerConnection {
 		t.Fatalf("connection scan under-charged: delta=%v", loaded-idle)
+	}
+}
+
+func TestReadOfNodeRemovedMidChargeReturnsStartValue(t *testing.T) {
+	// A reply carries the end-of-charge value while the node exists, but
+	// a node removed during the charge replies with its value from op
+	// start — even when the same clock event rewrote it first.
+	s, c := newStore()
+	s.Write("/a/b", "start")
+	c.After(costs.XSProcess, func() {
+		s.Write("/a/b", "rewritten")
+		if err := s.Rm("/a/b"); err != nil {
+			t.Error(err)
+		}
+	})
+	if v, err := s.Read("/a/b"); err != nil || v != "start" {
+		t.Fatalf("Read = %q, %v; want the op-start value %q", v, err, "start")
+	}
+	if s.Exists("/a/b") {
+		t.Fatal("the mid-charge Rm did not land")
+	}
+
+	// The same for a listing: a directory that gains a child and is
+	// then removed mid-charge lists its op-start children.
+	s.Write("/d/x", "1")
+	c.After(costs.XSProcess, func() {
+		s.Write("/d/y", "2")
+		if err := s.Rm("/d"); err != nil {
+			t.Error(err)
+		}
+	})
+	names, err := s.Directory("/d")
+	if err != nil || len(names) != 1 || names[0] != "x" {
+		t.Fatalf("Directory = %v, %v; want the op-start listing [x]", names, err)
+	}
+
+	// A node that survives the charge replies with its end value.
+	s.Write("/e", "start")
+	c.After(costs.XSProcess, func() { s.Write("/e", "end") })
+	if v, _ := s.Read("/e"); v != "end" {
+		t.Fatalf("Read = %q, want the end-of-charge value %q", v, "end")
 	}
 }

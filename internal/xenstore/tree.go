@@ -2,44 +2,28 @@ package xenstore
 
 import "math/bits"
 
-// The store's state is an immutable, structurally-shared tree: nodes
-// are never modified after publication. Every mutation (write, rm,
-// mkdir, perm change, transaction apply) builds a new root by copying
-// only the spine — the nodes on the path from the root to the change —
-// and publishes it with one atomic pointer store. Everything hanging
-// off the copied spine is shared with the previous version.
+// The store's state is one mutable tree owned by the store's timeline:
+// every mutation (write, rm, mkdir, perm change, transaction apply,
+// graft) edits the nodes on its path in place. Nothing else ever
+// reaches those nodes: a Snapshot is a deep copy (snapshot.go), and a
+// graft copies what it installs, so no node or trie level is shared
+// between two trees.
 //
-// That single invariant is what makes Store.Snapshot O(1): a snapshot
-// is just the current root pointer, and it stays internally consistent
-// forever because no mutation can reach the nodes it captured.
-//
-// Each node's children live in a persistent hash-array-mapped trie
-// (HAMT) keyed by the child name's FNV-1a hash, 5 bits of hash per
-// level. Copying a directory on the spine therefore costs
-// O(log32 fanout) small arrays instead of O(fanout): /local/domain
-// with 8000 guests copies two ~32-slot arrays per write beneath it,
-// not an 8000-entry map.
-//
-// Hot-path mechanics (profile-guided, see DESIGN.md §9):
-//
-//   - every node carries its segment's 64-bit FNV id (hsh), computed
-//     once at creation; trie descent and spine copies compare and key
-//     on that integer and never re-hash the name string;
-//   - spine copies draw node and trie-level objects from the owning
-//     store's pool (pool.go) and retire the objects they replace, so
-//     steady-state mutation recycles its own garbage instead of
-//     feeding the GC. Retirement is COW-safe: anything a snapshot
-//     could have captured is never reused.
-//
-// The helpers below take an optional *pool; nil (deserialization,
-// tests) falls back to plain allocation and retires nothing.
+// Each node's children live in a hash-array-mapped trie (HAMT) keyed
+// by the child name's FNV-1a hash, 5 bits of hash per level, mutated
+// in place. Its visit order is fixed by the hashes alone (a slot's
+// position is its hash chunk at that level), which keeps listings and
+// the uniqueness scan's visited count (amtFindValue) independent of
+// the order children were added and removed in. Every node carries its
+// segment's 64-bit FNV id (hsh), computed once at creation; trie
+// descent compares and keys on that integer and never re-hashes the
+// name string.
 
-// node is one immutable store node. The zero gen means "never
-// explicitly modified" — freshly ensured intermediate directories keep
-// gen 0 exactly like the historical mutable implementation, which is
-// load-bearing for transaction-conflict semantics (a transaction that
-// observed absence does not conflict with an intermediate directory
-// appearing).
+// node is one store node. The zero gen means "never explicitly
+// modified" — freshly ensured intermediate directories keep gen 0,
+// which is load-bearing for transaction-conflict semantics (a
+// transaction that observed absence does not conflict with an
+// intermediate directory appearing).
 type node struct {
 	name  string
 	hsh   uint64 // FNV-1a of name: the interned segment id and trie key
@@ -51,31 +35,10 @@ type node struct {
 	kids  *amtNode // nil when the node has no children
 	nkids int      // direct children
 	size  int      // subtree node count including this node
-
-	// Pool provenance (see pool.go). ptag identifies the allocating
-	// store's pool (0 = unpooled: deserialized, foreign, or test
-	// construction); birth is that store's snapshot epoch at
-	// allocation. A node is recycled only by its own pool and only
-	// when no snapshot was taken during its lifetime.
-	ptag  uint32
-	birth uint64
-}
-
-// clone returns a mutable copy of n drawn from p (plain allocation
-// when p is nil); callers fix it up and publish it inside a new tree
-// version. The original is never touched — and never retired here:
-// retirement is the caller's call, because clones also copy foreign
-// nodes (grafts) whose originals stay live.
-func (n *node) clone(p *pool) *node {
-	c := p.getNode()
-	ptag, birth := c.ptag, c.birth
-	*c = *n
-	c.ptag, c.birth = ptag, birth
-	return c
 }
 
 // ---------------------------------------------------------------------------
-// Persistent HAMT: segment id (hsh) → *node.
+// HAMT: segment id (hsh) → *node.
 // ---------------------------------------------------------------------------
 
 const (
@@ -91,12 +54,9 @@ const (
 
 // amtNode is one bitmap-compressed trie level. slots[i] is either a
 // *node (a direct entry) or a *amtNode (a deeper level); at
-// amtMaxShift, slots hold *amtCollision. ptag/birth mirror node's
-// pool provenance.
+// amtMaxShift, slots hold *amtCollision.
 type amtNode struct {
 	bitmap uint32
-	ptag   uint32
-	birth  uint64
 	slots  []any
 }
 
@@ -167,63 +127,22 @@ func amtGet(a *amtNode, h uint64, name string) *node {
 	return nil
 }
 
-// withSlot returns a copy of a with the packed slot at idx replaced,
-// retiring the original level to p.
-func (a *amtNode) withSlot(p *pool, idx int, s any) *amtNode {
-	c := p.getAMT(len(a.slots))
-	c.bitmap = a.bitmap
-	copy(c.slots, a.slots)
-	c.slots[idx] = s
-	p.retireAMT(a)
-	return c
-}
-
-// withInsert returns a copy of a with a new bit set and slot inserted,
-// retiring the original level to p.
-func (a *amtNode) withInsert(p *pool, bit uint32, s any) *amtNode {
-	idx := a.slotIndex(bit)
-	c := p.getAMT(len(a.slots) + 1)
-	c.bitmap = a.bitmap | bit
-	copy(c.slots, a.slots[:idx])
-	c.slots[idx] = s
-	copy(c.slots[idx+1:], a.slots[idx:])
-	p.retireAMT(a)
-	return c
-}
-
-// withRemove returns a copy of a with a bit cleared and its slot
-// dropped (nil when the level empties), retiring the original.
-func (a *amtNode) withRemove(p *pool, bit uint32) *amtNode {
-	if a.bitmap == bit {
-		p.retireAMT(a)
-		return nil
-	}
-	idx := a.slotIndex(bit)
-	c := p.getAMT(len(a.slots) - 1)
-	c.bitmap = a.bitmap &^ bit
-	copy(c.slots, a.slots[:idx])
-	copy(c.slots[idx:], a.slots[idx+1:])
-	p.retireAMT(a)
-	return c
-}
-
-// amtBuild inserts child into a build-private trie in place. It is
-// the mutating counterpart of amtSet for trees under construction
-// (snapshot deserialization): every level reachable from a is
-// exclusively owned by the builder and unpooled (ptag 0), so slots
-// are grown and overwritten directly instead of copied — one level
-// allocation per surviving level rather than one per insertion step.
-// Callers guarantee child names are unique (the canonical snapshot
-// format enforces strictly ascending children), so there is no
-// replace case.
-func amtBuild(a *amtNode, shift uint, child *node) *amtNode {
+// amtBuild inserts child into the trie in place and returns the trie
+// (a new level, drawn from fl, when a is nil). Callers guarantee no
+// entry with child's name is present, so there is no replace case.
+func amtBuild(fl *freeList, a *amtNode, shift uint, child *node) *amtNode {
 	h := child.hsh
 	if a == nil {
+		a = fl.level()
+		a.slots = growSlots(a.slots)
 		if shift >= amtMaxShift {
-			return &amtNode{bitmap: 1, slots: []any{&amtCollision{entries: []*node{child}}}}
+			a.bitmap = 1
+			a.slots[0] = &amtCollision{entries: []*node{child}}
+			return a
 		}
-		bit := uint32(1) << ((h >> shift) & amtMask)
-		return &amtNode{bitmap: bit, slots: []any{child}}
+		a.bitmap = uint32(1) << ((h >> shift) & amtMask)
+		a.slots[0] = child
+		return a
 	}
 	if shift >= amtMaxShift {
 		c := a.slots[0].(*amtCollision)
@@ -234,7 +153,7 @@ func amtBuild(a *amtNode, shift uint, child *node) *amtNode {
 	idx := a.slotIndex(bit)
 	if a.bitmap&bit == 0 {
 		a.bitmap |= bit
-		a.slots = append(a.slots, nil)
+		a.slots = growSlots(a.slots)
 		copy(a.slots[idx+1:], a.slots[idx:])
 		a.slots[idx] = child
 		return a
@@ -243,89 +162,45 @@ func amtBuild(a *amtNode, shift uint, child *node) *amtNode {
 	case *node:
 		// Two ids share this slot: push the old entry one level down
 		// next to the new one.
-		a.slots[idx] = amtBuild(amtBuild(nil, shift+amtBits, s), shift+amtBits, child)
+		a.slots[idx] = amtBuild(fl, amtBuild(fl, nil, shift+amtBits, s), shift+amtBits, child)
 	case *amtNode:
-		a.slots[idx] = amtBuild(s, shift+amtBits, child)
+		a.slots[idx] = amtBuild(fl, s, shift+amtBits, child)
 	}
 	return a
 }
 
-// amtSet returns a new trie with child present under its id (hsh),
-// reporting whether the entry is new (vs replaced). Replaced levels
-// are retired to p; the replaced entry node is not (the caller owns
-// that decision).
-func amtSet(p *pool, a *amtNode, shift uint, child *node) (*amtNode, bool) {
-	h := child.hsh
-	if a == nil {
-		if shift >= amtMaxShift {
-			c := p.getAMT(1)
-			c.bitmap = 1
-			c.slots[0] = &amtCollision{entries: []*node{child}}
-			return c, true
-		}
-		bit := uint32(1) << ((h >> shift) & amtMask)
-		c := p.getAMT(1)
-		c.bitmap = bit
-		c.slots[0] = child
-		return c, true
+// growSlots lengthens a level's slot array by one. A full array grows
+// to the next multiple of 8 slots (at most the trie width): a small
+// directory fills one allocation instead of doubling through four, and
+// a recycled array fits most directories.
+func growSlots(s []any) []any {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
 	}
-	if shift >= amtMaxShift {
-		c, _ := a.slots[0].(*amtCollision)
-		for i, e := range c.entries {
-			if e.name == child.name {
-				entries := make([]*node, len(c.entries))
-				copy(entries, c.entries)
-				entries[i] = child
-				return a.withSlot(p, 0, &amtCollision{entries: entries}), false
-			}
-		}
-		entries := make([]*node, len(c.entries)+1)
-		copy(entries, c.entries)
-		entries[len(c.entries)] = child
-		return a.withSlot(p, 0, &amtCollision{entries: entries}), true
-	}
-	bit := uint32(1) << ((h >> shift) & amtMask)
-	if a.bitmap&bit == 0 {
-		return a.withInsert(p, bit, child), true
-	}
-	idx := a.slotIndex(bit)
-	switch s := a.slots[idx].(type) {
-	case *node:
-		if s.hsh == h && s.name == child.name {
-			return a.withSlot(p, idx, child), false
-		}
-		// Two ids share this slot: push the old entry one level down
-		// next to the new one. s.hsh is already computed — no rehash.
-		sub, _ := amtSet(p, nil, shift+amtBits, s)
-		sub, _ = amtSet(p, sub, shift+amtBits, child)
-		return a.withSlot(p, idx, sub), true
-	case *amtNode:
-		sub, added := amtSet(p, s, shift+amtBits, child)
-		return a.withSlot(p, idx, sub), added
-	default:
-		return a, false // unreachable
-	}
+	g := make([]any, len(s)+1, min((len(s)+8)&^7, amtWidth))
+	copy(g, s)
+	return g
 }
 
-// amtDel returns a new trie without the entry with id h named name,
-// and the removed entry (nil if absent). Emptied levels collapse to
-// nil; replaced levels are retired to p.
-func amtDel(p *pool, a *amtNode, h uint64, shift uint, name string) (*amtNode, *node) {
+// amtDel removes the entry with id h named name from the trie in
+// place. It returns the trie (nil once it empties; emptied levels are
+// dropped from their parents and handed to fl) and the removed entry
+// (nil if absent).
+func amtDel(fl *freeList, a *amtNode, h uint64, shift uint, name string) (*amtNode, *node) {
 	if a == nil {
 		return nil, nil
 	}
 	if shift >= amtMaxShift {
-		c, _ := a.slots[0].(*amtCollision)
+		c := a.slots[0].(*amtCollision)
 		for i, e := range c.entries {
 			if e.name == name {
 				if len(c.entries) == 1 {
-					p.retireAMT(a)
+					a.slots[0] = nil
+					fl.putLevel(a)
 					return nil, e
 				}
-				entries := make([]*node, 0, len(c.entries)-1)
-				entries = append(entries, c.entries[:i]...)
-				entries = append(entries, c.entries[i+1:]...)
-				return a.withSlot(p, 0, &amtCollision{entries: entries}), e
+				c.entries = append(c.entries[:i], c.entries[i+1:]...)
+				return a, e
 			}
 		}
 		return a, nil
@@ -335,24 +210,145 @@ func amtDel(p *pool, a *amtNode, h uint64, shift uint, name string) (*amtNode, *
 		return a, nil
 	}
 	idx := a.slotIndex(bit)
+	var removed *node
 	switch s := a.slots[idx].(type) {
 	case *node:
 		if s.hsh != h || s.name != name {
 			return a, nil
 		}
-		return a.withRemove(p, bit), s
+		removed = s
 	case *amtNode:
-		sub, removed := amtDel(p, s, h, shift+amtBits, name)
-		if removed == nil {
-			return a, nil
+		sub, rm := amtDel(fl, s, h, shift+amtBits, name)
+		if rm == nil || sub != nil {
+			return a, rm
 		}
-		if sub == nil {
-			return a.withRemove(p, bit), removed
-		}
-		return a.withSlot(p, idx, sub), removed
+		removed = rm
 	default:
 		return a, nil
 	}
+	a.bitmap &^= bit
+	copy(a.slots[idx:], a.slots[idx+1:])
+	a.slots[len(a.slots)-1] = nil
+	a.slots = a.slots[:len(a.slots)-1]
+	if a.bitmap == 0 {
+		fl.putLevel(a)
+		return nil, removed
+	}
+	return a, removed
+}
+
+// copyNode deep-copies a subtree into nodes and trie levels drawn
+// from fl, with the same shape, so the copy shares nothing with the
+// original.
+func copyNode(fl *freeList, n *node) *node {
+	c := fl.node()
+	*c = *n
+	c.kids = copyAMT(fl, n.kids)
+	return c
+}
+
+func copyAMT(fl *freeList, a *amtNode) *amtNode {
+	if a == nil {
+		return nil
+	}
+	c := fl.level()
+	c.bitmap = a.bitmap
+	if cap(c.slots) < len(a.slots) {
+		c.slots = make([]any, 0, len(a.slots))
+	}
+	for _, s := range a.slots {
+		switch e := s.(type) {
+		case *node:
+			c.slots = append(c.slots, copyNode(fl, e))
+		case *amtNode:
+			c.slots = append(c.slots, copyAMT(fl, e))
+		case *amtCollision:
+			entries := make([]*node, len(e.entries))
+			for j, n := range e.entries {
+				entries[j] = copyNode(fl, n)
+			}
+			c.slots = append(c.slots, &amtCollision{entries: entries})
+		}
+	}
+	return c
+}
+
+// freeList recycles the nodes and trie levels of subtrees that leave a
+// store's tree (Rm, a graft's displaced children), so steady churn — a
+// guest's ~40 nodes written on create and removed on destroy — reuses
+// them instead of feeding the GC. No tags or epochs are needed: nothing
+// shares nodes (snapshots and grafts copy), and no operation touches a
+// node after a mutation could have detached it (reads copy what they
+// reply with before their charge), so a detached subtree is garbage
+// the moment it leaves the tree. A nil *freeList allocates and keeps
+// nothing. Each list is bounded, so one huge Rm cannot pin memory.
+type freeList struct {
+	nodes  []*node
+	levels []*amtNode
+}
+
+const freeMax = 8192
+
+// node returns a zeroed node.
+func (fl *freeList) node() *node {
+	if fl == nil || len(fl.nodes) == 0 {
+		return &node{}
+	}
+	n := fl.nodes[len(fl.nodes)-1]
+	fl.nodes = fl.nodes[:len(fl.nodes)-1]
+	return n
+}
+
+// level returns an empty trie level, keeping a recycled level's slot
+// array for reuse.
+func (fl *freeList) level() *amtNode {
+	if fl == nil || len(fl.levels) == 0 {
+		return &amtNode{}
+	}
+	a := fl.levels[len(fl.levels)-1]
+	fl.levels = fl.levels[:len(fl.levels)-1]
+	return a
+}
+
+// putLevel takes an emptied trie level.
+func (fl *freeList) putLevel(a *amtNode) {
+	if fl != nil && len(fl.levels) < freeMax {
+		*a = amtNode{slots: a.slots[:0]}
+		fl.levels = append(fl.levels, a)
+	}
+}
+
+// put takes a detached subtree: n and everything beneath it.
+func (fl *freeList) put(n *node) {
+	if fl == nil {
+		return
+	}
+	fl.putKids(n.kids)
+	if len(fl.nodes) < freeMax {
+		*n = node{}
+		fl.nodes = append(fl.nodes, n)
+	}
+}
+
+// putKids takes a detached trie and every subtree in it.
+func (fl *freeList) putKids(a *amtNode) {
+	if fl == nil || a == nil {
+		return
+	}
+	for i, s := range a.slots {
+		switch e := s.(type) {
+		case *node:
+			fl.put(e)
+		case *amtNode:
+			fl.putKids(e)
+		case *amtCollision:
+			for _, n := range e.entries {
+				fl.put(n)
+			}
+		}
+		a.slots[i] = nil
+	}
+	fl.putLevel(a)
 }
 
 // amtIter visits every entry in trie order (deterministic for a given
@@ -382,58 +378,12 @@ func amtIter(a *amtNode, fn func(*node) bool) bool {
 	return true
 }
 
-// child returns n's direct child by name (nil if absent).
-func (n *node) child(name string) *node {
-	if n.kids == nil {
-		return nil
-	}
-	return amtGet(n.kids, nameHash(name), name)
-}
-
 // childByID returns n's direct child by precomputed segment id.
 func (n *node) childByID(h uint64, name string) *node {
 	if n.kids == nil {
 		return nil
 	}
 	return amtGet(n.kids, h, name)
-}
-
-// withChild returns a copy of n with child set (added or replaced),
-// with size/nkids bookkeeping. The spine copy and any replaced trie
-// levels come from / retire to p; n itself is retired (every caller
-// replaces n with the copy in the published tree).
-func (n *node) withChild(p *pool, child *node) *node {
-	c := n.clone(p)
-	old := n.childByID(child.hsh, child.name)
-	kids, added := amtSet(p, n.kids, 0, child)
-	c.kids = kids
-	if added {
-		c.nkids++
-		c.size += child.size
-	} else {
-		c.size += child.size - old.size
-	}
-	p.retireNode(n)
-	return c
-}
-
-// withoutChild returns a copy of n with the child with id h named name
-// removed, plus the removed child (nil, nil if absent). n is retired
-// on success.
-func (n *node) withoutChild(p *pool, name string, h uint64) (*node, *node) {
-	if n.kids == nil {
-		return nil, nil
-	}
-	kids, removed := amtDel(p, n.kids, h, 0, name)
-	if removed == nil {
-		return nil, nil
-	}
-	c := n.clone(p)
-	c.kids = kids
-	c.nkids--
-	c.size -= removed.size
-	p.retireNode(n)
-	return c, removed
 }
 
 // eachChild iterates n's direct children.

@@ -142,7 +142,6 @@ func (s *Store) TxnStart() *Tx {
 	t.startGen = s.gen
 	t.live = true
 	s.openTxns = append(s.openTxns, t)
-	s.Count.TxnStarts++
 	s.chargeOp(1)
 	return &Tx{s: s, t: t, id: t.id}
 }

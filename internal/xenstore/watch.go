@@ -255,7 +255,6 @@ func (s *Store) fireWatches(path string) {
 	}
 	s.fireDepth++
 	for _, w := range cands {
-		s.Count.WatchFires++
 		s.clock.Sleep(sim.Duration(costs.XSWatchFire))
 		w.fn(p, w.token)
 	}
